@@ -37,6 +37,7 @@ package pcm
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
 	"wlreviver/internal/bitset"
@@ -147,16 +148,27 @@ type Device struct {
 	// Failure-horizon fast path: horizon counts device writes guaranteed
 	// not to trigger a cell failure anywhere. A cell fails on the write
 	// that brings its block's wear up to nextFail, and each write lowers
-	// exactly one block's margin by one, so after a scan finding minimum
+	// exactly one block's margin by one, so after a rescan finding minimum
 	// margin M the next M-1 writes are failure-free; while horizon > 0 the
 	// write path skips all failure bookkeeping. Unmaterialized blocks
 	// contribute their lower-bound margin, which only shortens the
-	// horizon — never past a real failure. When the scan itself finds
-	// a margin of 1 (a failure is imminent), rescanIn amortizes the next
-	// O(NumBlocks) scan over NumBlocks checked writes so pathological
-	// streams cost O(1) extra per write, not O(NumBlocks).
+	// horizon — never past a real failure. When the rescan itself finds
+	// a margin of 1 (a failure is imminent), rescanIn defers the next
+	// rescan by NumBlocks checked writes. Any other small margin re-arms
+	// a short horizon, so a degraded chip rescans every few writes; the
+	// rescan is therefore incremental (see recomputeHorizon) and costs
+	// O(chunks written since the last rescan), not O(NumBlocks).
 	horizon  uint64
 	rescanIn uint64
+
+	// Incremental rescan state. Blocks are grouped into chunks of
+	// 1<<chunkShift; every change to a block's wear or nextFail marks its
+	// chunk dirty, and minTree is a tournament tree over the chunks'
+	// minimum margins: leaves at [chunks, 2*chunks), node i the minimum of
+	// nodes 2i and 2i+1, so minTree[1] is the chip-wide minimum once the
+	// dirty leaves are refreshed.
+	dirty   bitset.Bits // ckpt:derived chunks changed since the last rescan; LoadState marks every chunk dirty
+	minTree []uint64    // ckpt:derived per-chunk minimum margins, recomputed from wear and nextFail for dirty chunks
 
 	// ckpt:skip runtime wiring, reattached after restore
 	observer obs.Observer // nil unless attached; CellFailed probe
@@ -215,6 +227,12 @@ func lifeLowerBounds(mean, sigma float64, cells int) []uint64 {
 	return t
 }
 
+// chunkShift sets the incremental rescan's granularity: 64 blocks per
+// chunk, one dirty bit each. A rescan re-reads every dirty chunk whole,
+// so a degraded chip that rescans every few writes reads a few hundred
+// blocks instead of the whole chip.
+const chunkShift = 6
+
 // NewDevice builds a chip from cfg.
 func NewDevice(cfg Config) (*Device, error) {
 	if err := cfg.Validate(); err != nil {
@@ -229,6 +247,10 @@ func NewDevice(cfg Config) (*Device, error) {
 		fails:     make(map[uint64]failState),
 		sigma:     cfg.LifetimeCoV * cfg.MeanEndurance,
 	}
+	chunks := (cfg.NumBlocks + 1<<chunkShift - 1) >> chunkShift
+	d.dirty = bitset.New(chunks)
+	d.minTree = make([]uint64, 2*chunks)
+	d.markAllDirty()
 	d.lifeLB = lifeLowerBounds(cfg.MeanEndurance, d.sigma, cfg.CellsPerBlock)
 	if cfg.TrackContent {
 		d.content = make([]uint64, cfg.NumBlocks)
@@ -303,6 +325,7 @@ func (d *Device) materialize(b BlockID) {
 	d.nextFail[b] = t
 	d.fails[uint64(b)] = failState{u: u}
 	d.exactBits.Set(uint64(b))
+	d.dirty.Set(uint64(b) >> chunkShift)
 }
 
 // Write services one write to block b, wearing it. It returns the number
@@ -313,6 +336,7 @@ func (d *Device) Write(b BlockID) int {
 		d.horizon--
 		d.stats.Writes++
 		d.wear[b]++
+		d.dirty.Set(uint64(b) >> chunkShift)
 		return 0
 	}
 	return d.writeChecked(b)
@@ -330,6 +354,7 @@ func (d *Device) WriteNoFail(b BlockID) bool {
 	d.horizon--
 	d.stats.Writes++
 	d.wear[b]++
+	d.dirty.Set(uint64(b) >> chunkShift)
 	return true
 }
 
@@ -338,6 +363,7 @@ func (d *Device) WriteNoFail(b BlockID) bool {
 func (d *Device) writeChecked(b BlockID) int {
 	d.stats.Writes++
 	d.wear[b]++
+	d.dirty.Set(uint64(b) >> chunkShift)
 	newFailures := 0
 	if d.wear[b] >= d.nextFail[b] {
 		if !d.exactBits.Test(uint64(b)) {
@@ -364,22 +390,54 @@ func (d *Device) writeChecked(b BlockID) int {
 	return newFailures
 }
 
-// recomputeHorizon scans every block's failure margin and re-arms the
-// fast-path countdown. O(NumBlocks) over two flat arrays; runs at
-// construction, on horizon expiry, and at most once per NumBlocks checked
-// writes.
+// recomputeHorizon re-arms the fast-path countdown from the chip-wide
+// minimum failure margin. Runs at construction, on horizon expiry, and at
+// most once per NumBlocks checked writes. Only the chunks dirtied since
+// the previous rescan are re-read; the rest keep their minima in minTree,
+// so the result is exactly that of a full scan over every block.
 func (d *Device) recomputeHorizon() {
-	min := uint64(math.MaxUint64)
-	for b, w := range d.wear {
-		if m := d.nextFail[b] - w; m < min {
-			min = m
+	for i, w := range d.dirty {
+		for w != 0 {
+			d.refreshChunk(uint64(i)<<6 | uint64(bits.TrailingZeros64(w)))
+			w &= w - 1
 		}
+		d.dirty[i] = 0
 	}
 	// The write reaching nextFail fails, so minimum margin M leaves M-1
 	// failure-free writes. writeChecked keeps nextFail > wear, so M >= 1.
-	d.horizon = min - 1
+	d.horizon = d.minTree[1] - 1
 	if d.horizon == 0 {
 		d.rescanIn = uint64(len(d.wear))
+	}
+}
+
+// refreshChunk recomputes chunk c's minimum margin and propagates it up
+// minTree, stopping at the first ancestor whose minimum is unchanged.
+func (d *Device) refreshChunk(c uint64) {
+	lo := c << chunkShift
+	hi := min(lo+1<<chunkShift, uint64(len(d.wear)))
+	wear, next := d.wear[lo:hi], d.nextFail[lo:hi]
+	m := uint64(math.MaxUint64)
+	for j, w := range wear {
+		m = min(m, next[j]-w)
+	}
+	i := uint64(len(d.minTree))/2 + c
+	d.minTree[i] = m
+	for i > 1 {
+		i >>= 1
+		m = min(d.minTree[2*i], d.minTree[2*i+1])
+		if d.minTree[i] == m {
+			return
+		}
+		d.minTree[i] = m
+	}
+}
+
+// markAllDirty schedules every chunk for refresh at the next rescan, after
+// wear and nextFail were overwritten wholesale.
+func (d *Device) markAllDirty() {
+	for c := uint64(0); c < uint64(len(d.minTree))/2; c++ {
+		d.dirty.Set(c)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"wlreviver/internal/rng"
 	"wlreviver/internal/stats"
 )
 
@@ -337,6 +338,56 @@ func BenchmarkWriteFailurePath(b *testing.B) {
 			b.StartTimer()
 		}
 		d.Write(blk)
+	}
+}
+
+// BenchmarkWriteNearFailure measures writes to a degraded bench-scale
+// chip: 2^13 blocks plus Start-Gap's gap block at endurance 2500, worn
+// by set-up (outside the timer) to 150 uniform writes per block, where
+// the weak tail keeps the minimum failure margin at a few writes and the
+// horizon re-arms every few writes. BenchmarkWriteFailurePath's 1024
+// blocks are too few to show what each re-arm costs. The timed writes
+// restart from the set-up checkpoint every 2^18 writes, so the regime
+// does not drift with b.N; set-up fails the benchmark if it did not
+// reach the regime.
+func BenchmarkWriteNearFailure(b *testing.B) {
+	const (
+		blocks  = 1<<13 + 1
+		perSeg  = 1 << 18
+		seqMask = 1<<16 - 1
+	)
+	cfg := testConfig(blocks, 2500)
+	d, err := NewDevice(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := rng.New(1)
+	seq := make([]BlockID, seqMask+1)
+	for i := range seq {
+		seq[i] = BlockID(src.Uint64n(blocks))
+	}
+	for i := 0; i < 150*blocks; i++ {
+		d.Write(seq[i&seqMask])
+	}
+	image := saveDevice(d)
+	rescans := 0
+	for i := 0; i < 1<<12; i++ {
+		if d.horizon == 0 && d.rescanIn == 0 {
+			rescans++
+		}
+		d.Write(seq[i&seqMask])
+	}
+	if rescans < 1<<12/100 {
+		b.Fatalf("set-up left the chip outside the near-failure regime: %d rescans in %d writes", rescans, 1<<12)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%perSeg == 0 {
+			b.StopTimer()
+			d = loadDevice(b, cfg, image)
+			b.StartTimer()
+		}
+		d.Write(seq[i&seqMask])
 	}
 }
 

@@ -9,9 +9,10 @@ import (
 // SaveState serializes the device's mutable state (wear counters, failure
 // thresholds, the packed bitsets, the sparse failure-schedule index, dead
 // marks, access stats, and the failure-horizon countdown) into the open
-// checkpoint section. Configuration and the derived sigma and lower-bound
-// table are not written; Restore rebuilds the device from the same Config
-// and overlays this state.
+// checkpoint section. Configuration, the derived sigma and lower-bound
+// table, and the incremental rescan's chunk minima are not written;
+// Restore rebuilds the device from the same Config and overlays this
+// state.
 func (d *Device) SaveState(e *ckpt.Encoder) {
 	e.U64s(d.wear)
 	e.U64s(d.nextFail)
@@ -39,7 +40,9 @@ func (d *Device) SaveState(e *ckpt.Encoder) {
 // built from the identical Config. The flat arrays decode in place (no
 // transient copies); on any error the device's state is unspecified, per
 // the RestoreCheckpoint contract that a failed restore discards the
-// engine.
+// engine. The restored horizon and rescanIn are kept as saved, and every
+// chunk is marked dirty so the next rescan recomputes the chunk minima
+// from the restored wear and thresholds.
 func (d *Device) LoadState(dec *ckpt.Decoder) error {
 	dec.U64sInto(d.wear)
 	dec.U64sInto(d.nextFail)
@@ -94,5 +97,6 @@ func (d *Device) LoadState(dec *ckpt.Decoder) error {
 	d.deadCount = deadCount
 	d.horizon = horizon
 	d.rescanIn = rescanIn
+	d.markAllDirty()
 	return nil
 }

@@ -50,6 +50,12 @@ fi
 echo "coverage: ${total}% (floor ${COVER_MIN}%)"
 go tool cover -html=coverage.out -o coverage.html
 
+# One iteration of each PCM device benchmark. Their set-up drives chips
+# into specific regimes (BenchmarkWriteNearFailure checks that it got
+# there), so a set-up that breaks fails the gate instead of rotting.
+echo "== go test -run '^\$' -bench . -benchtime 1x ./internal/pcm"
+go test -run '^$' -bench . -benchtime 1x ./internal/pcm
+
 echo "== go test -race ./..."
 go test -race ./...
 
