@@ -53,11 +53,11 @@ microbench:
 	go test -bench=. -benchmem -run '^$$' ./...
 
 # Brief fuzzing pass over the checkpoint wire format, the engine
-# restore path, the Start-Gap mapping algebra and the PCM device's
-# incremental failure-horizon rescan. Each target's seed corpus lives
-# in its package's testdata/fuzz/ and replays as part of the ordinary
-# test suite (the CI smoke run); this target additionally explores new
-# inputs for a few seconds each.
+# restore path, WL-Reviver's reboot-image decoder, the Start-Gap mapping
+# algebra and the PCM device's incremental failure-horizon rescan. Each
+# target's seed corpus lives in its package's testdata/fuzz/ and replays
+# as part of the ordinary test suite (the CI smoke run); this target
+# additionally explores new inputs for a few seconds each.
 fuzz:
 	go test ./internal/ckpt -fuzz FuzzCheckpointRoundTrip -fuzztime 10s
 	go test ./internal/ckpt -fuzz FuzzDecoderNeverPanics -fuzztime 10s
@@ -65,6 +65,7 @@ fuzz:
 	go test ./internal/wear -fuzz FuzzWoLFRaMMapInverse -fuzztime 10s
 	go test ./internal/wear -fuzz FuzzSoftWearPageTable -fuzztime 10s
 	go test ./internal/sim -fuzz FuzzRestoreRejectsCorrupt -fuzztime 10s
+	go test ./internal/reviver -fuzz FuzzReviverRestore -fuzztime 10s
 	go test ./internal/pcm -fuzz FuzzHorizonSchedule -fuzztime 10s
 
 # wlserved crash-durability smoke: drive 50 devices with wlload,

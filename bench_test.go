@@ -374,6 +374,7 @@ func BenchmarkEngineStepDegraded(b *testing.B) {
 			b.Fatal("memory died during warmup")
 		}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	steps := 0
 	for i := 0; i < b.N; i++ {

@@ -156,8 +156,14 @@ func (f *FREEp) takeSlot() (uint64, bool) {
 
 // effective resolves da through its remap pointer, charging the pointer
 // read unless cached. FREE-p chains are always one hop: when a slot
-// fails, the pointer in the original failed block is rewritten.
+// fails, the pointer in the original failed block is rewritten. Only a
+// block the backend has declared dead can carry a pointer (writeTo sets
+// one only after a write to it failed), so a healthy block resolves to
+// itself without consulting the remap table.
 func (f *FREEp) effective(da uint64) (uint64, uint64) {
+	if !f.be.Dead(da) {
+		return da, 0
+	}
 	slot, ok := f.remap[da]
 	if !ok {
 		return da, 0

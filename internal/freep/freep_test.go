@@ -3,6 +3,7 @@ package freep
 import (
 	"testing"
 
+	"wlreviver/internal/ckpt"
 	"wlreviver/internal/ecc"
 	"wlreviver/internal/mc"
 	"wlreviver/internal/osmodel"
@@ -330,4 +331,48 @@ func TestZombiePairDataIntegrity(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRemapKeysAreDead pins the invariant effective's fast path rests
+// on: only a block the backend has declared dead carries a FREE-p
+// pointer, so a healthy block may skip the remap table. It must hold
+// after a failure-heavy run and again after a checkpoint round trip.
+func TestRemapKeysAreDead(t *testing.T) {
+	s := newStack(t, 64, 300, 0.10)
+	g, _ := trace.NewUniform(64, 7)
+	s.drive(t, g, 300_000)
+	if len(s.fp.remap) == 0 {
+		t.Fatal("the run remapped no failed block")
+	}
+	check := func(fp *FREEp, when string) {
+		for _, da := range ckpt.KeysU64(fp.remap) {
+			if !s.be.Dead(da) {
+				t.Errorf("%s: FREE-p pointer on healthy DA %d", when, da)
+			}
+		}
+	}
+	check(s.fp, "after the run")
+
+	e := ckpt.NewEncoder()
+	e.Begin("freep")
+	s.fp.SaveState(e)
+	e.End()
+	d, err := ckpt.NewDecoder(e.Finish())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Section("freep"); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := New(Config{ReserveFraction: 0.10}, s.lv, s.be, s.os)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.LoadState(d); err != nil {
+		t.Fatal(err)
+	}
+	if len(fresh.remap) != len(s.fp.remap) {
+		t.Fatalf("LoadState restored %d remaps, want %d", len(fresh.remap), len(s.fp.remap))
+	}
+	check(fresh, "after LoadState")
 }

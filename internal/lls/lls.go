@@ -192,8 +192,14 @@ func (g *group) backupIndex(da uint64) int {
 }
 
 // effective resolves a data-region DA through the group bookkeeping,
-// charging the failed-block probe and bitmap read unless cached.
+// charging the failed-block probe and bitmap read unless cached. Only a
+// block the backend has declared dead sits in a group's failed list
+// (handleFailure runs after a write to it failed), so a healthy block
+// resolves to itself without searching its group.
 func (l *LLS) effective(da uint64) (uint64, uint64) {
+	if !l.be.Dead(da) {
+		return da, 0
+	}
 	g := l.groupOf(da)
 	i := g.backupIndex(da)
 	if i < 0 {

@@ -3,6 +3,7 @@ package lls
 import (
 	"testing"
 
+	"wlreviver/internal/ckpt"
 	"wlreviver/internal/ecc"
 	"wlreviver/internal/mc"
 	"wlreviver/internal/osmodel"
@@ -250,5 +251,54 @@ func TestShiftWritesHappen(t *testing.T) {
 	}
 	if st.ShiftWrites == 0 {
 		t.Error("multiple failures but no order-matching shifts")
+	}
+}
+
+// TestFailedListsAreDead pins the invariant effective's fast path rests
+// on: only a block the backend has declared dead sits in a salvaging
+// group's failed list, so a healthy block may skip the group search. It
+// must hold after a failure-heavy run and again after a checkpoint round
+// trip.
+func TestFailedListsAreDead(t *testing.T) {
+	s := newStack(t, 128, 300, 1)
+	g, _ := trace.NewUniform(128, 4)
+	s.drive(t, g, 400_000)
+	check := func(ll *LLS, when string) int {
+		n := 0
+		for gi, grp := range ll.groups {
+			for _, da := range grp.failed {
+				n++
+				if !s.be.Dead(da) {
+					t.Errorf("%s: group %d lists healthy DA %d as failed", when, gi, da)
+				}
+			}
+		}
+		return n
+	}
+	failed := check(s.ll, "after the run")
+	if failed == 0 {
+		t.Fatal("the run registered no failed block")
+	}
+
+	e := ckpt.NewEncoder()
+	e.Begin("lls")
+	s.ll.SaveState(e)
+	e.End()
+	d, err := ckpt.NewDecoder(e.Finish())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Section("lls"); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := New(Config{ChunkPages: 1, SalvageGroups: 4}, s.lv, s.be, s.os)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.LoadState(d); err != nil {
+		t.Fatal(err)
+	}
+	if got := check(fresh, "after LoadState"); got != failed {
+		t.Fatalf("LoadState restored %d failed blocks, want %d", got, failed)
 	}
 }

@@ -54,6 +54,7 @@ func BenchmarkChainArenaWalk(b *testing.B) {
 	if bestSteps < 1 {
 		b.Fatalf("workload produced no chain to walk (best steps %d)", bestSteps)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.rv.Read(bestPA)

@@ -9,10 +9,13 @@ package reviver
 // rare cases where the pointers are lost, they can be rebuilt by scanning
 // the entire PCM".
 //
-// The simulator keeps that PCM-resident metadata as authoritative Go
-// maps; Snapshot models reading it out of the chip at shutdown (or the
-// full scan), and Restore models the reboot: the OS reloads the bitmap
-// and the controller reloads its links.
+// The simulator keeps that PCM-resident metadata authoritatively in the
+// shadow arena (see shadowNode); Snapshot models reading it out of the
+// chip at shutdown (or the full scan), and Restore models the reboot:
+// the OS reloads the bitmap and the controller reloads its links. The
+// image carries no checksum, so Restore range-checks every address and
+// bounds every length by the bytes left: a damaged image is rejected
+// with an error, never a panic.
 
 import (
 	"encoding/binary"
@@ -39,10 +42,11 @@ func (r *Reviver) Snapshot() ([]byte, error) {
 	out = binary.LittleEndian.AppendUint64(out, uint64(len(bitmap)))
 	out = append(out, bitmap...)
 	// Links, in ascending-DA order so snapshot bytes are deterministic.
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(r.byDA)))
+	out = binary.LittleEndian.AppendUint64(out, uint64(r.linked))
 	for _, da := range r.LinkedDAs() {
+		idx, _ := arenaIndex(r.daIdx, da)
 		out = binary.LittleEndian.AppendUint64(out, da)
-		out = binary.LittleEndian.AppendUint64(out, r.nodes[r.byDA[da]].pa)
+		out = binary.LittleEndian.AppendUint64(out, r.nodes[idx].pa)
 	}
 	// Spares, oldest-acquired first (the free list runs newest-first, so
 	// reversed here); Restore re-pushes them in read order, reproducing
@@ -91,7 +95,7 @@ func (r *Reviver) Restore(data []byte) error {
 	if version != snapshotVersion {
 		return fmt.Errorf("reviver: unsupported snapshot version %d", version)
 	}
-	bmLen, err := rd.u64()
+	bmLen, err := rd.count(1)
 	if err != nil {
 		return err
 	}
@@ -102,15 +106,16 @@ func (r *Reviver) Restore(data []byte) error {
 	if err := r.os.LoadBitmap(bitmap); err != nil {
 		return err
 	}
+	// retired reports whether pa addresses a block of a retired page;
+	// every shadow and pointer-slot PA must.
+	retired := func(pa uint64) bool { return pa < r.lv.NumPAs() && r.os.Retired(pa) }
 
-	nPtr, err := rd.u64()
+	nPtr, err := rd.count(16)
 	if err != nil {
 		return err
 	}
 	nodes := make([]shadowNode, 0, nPtr)
-	byDA := make(map[uint64]uint32, nPtr)
-	byPA := make(map[uint64]uint32, nPtr)
-	for i := uint64(0); i < nPtr; i++ {
+	for i := 0; i < nPtr; i++ {
 		da, err := rd.u64()
 		if err != nil {
 			return err
@@ -125,51 +130,40 @@ func (r *Reviver) Restore(data []byte) error {
 		if !r.be.Dead(da) {
 			return fmt.Errorf("reviver: snapshot links DA %d but the chip says it is healthy", da)
 		}
-		if !r.os.Retired(pa) {
+		if !retired(pa) {
 			return fmt.Errorf("reviver: snapshot shadow PA %d is not in a retired page", pa)
 		}
-		if other, dup := byDA[da]; dup {
-			return fmt.Errorf("reviver: snapshot links DA %d to both PA %d and PA %d", da, nodes[other].pa, pa)
-		}
-		if other, dup := byPA[pa]; dup {
-			return fmt.Errorf("reviver: snapshot links PA %d to both DA %d and DA %d", pa, nodes[other].da, da)
-		}
-		idx := uint32(len(nodes))
 		nodes = append(nodes, shadowNode{pa: pa, da: da, slot: noSlot, next: noNode})
-		byDA[da] = idx
-		byPA[pa] = idx
 	}
 	// Spares were written oldest-acquired first; pushing in read order
 	// leaves the most recently acquired at the free-list head, the same
 	// hand-out order the snapshotted framework had.
-	nAvail, err := rd.u64()
+	nAvail, err := rd.count(8)
 	if err != nil {
 		return err
 	}
 	freeHead := noNode
-	spares := 0
-	for i := uint64(0); i < nAvail; i++ {
+	for i := 0; i < nAvail; i++ {
 		pa, err := rd.u64()
 		if err != nil {
 			return err
 		}
-		if !r.os.Retired(pa) {
+		if !retired(pa) {
 			return fmt.Errorf("reviver: snapshot spare PA %d is not in a retired page", pa)
-		}
-		if _, dup := byPA[pa]; dup {
-			return fmt.Errorf("reviver: snapshot lists PA %d as both linked and spare", pa)
 		}
 		idx := uint32(len(nodes))
 		nodes = append(nodes, shadowNode{pa: pa, da: noDA, slot: noSlot, next: freeHead})
-		byPA[pa] = idx
 		freeHead = idx
-		spares++
 	}
-	nSlot, err := rd.u64()
+	daIdx, paIdx, linked, err := r.indexArena(nodes, "snapshot")
 	if err != nil {
 		return err
 	}
-	for i := uint64(0); i < nSlot; i++ {
+	nSlot, err := rd.count(16)
+	if err != nil {
+		return err
+	}
+	for i := 0; i < nSlot; i++ {
 		pa, err := rd.u64()
 		if err != nil {
 			return err
@@ -178,22 +172,68 @@ func (r *Reviver) Restore(data []byte) error {
 		if err != nil {
 			return err
 		}
-		idx, ok := byPA[pa]
+		idx, ok := arenaIndex(paIdx, pa)
 		if !ok {
 			return fmt.Errorf("reviver: snapshot assigns pointer slot %d to unknown PA %d", slot, pa)
 		}
-		nodes[idx].slot = slot
+		if !retired(slot) {
+			return fmt.Errorf("reviver: snapshot pointer slot %d is not in a retired page", slot)
+		}
+		n := &nodes[idx]
+		if n.slot != noSlot {
+			return fmt.Errorf("reviver: snapshot assigns two pointer slots to PA %d", pa)
+		}
+		n.slot = slot
 	}
 
 	r.nodes = nodes
-	r.byDA = byDA
-	r.byPA = byPA
+	r.daIdx = daIdx
+	r.paIdx = paIdx
+	r.linked = linked
 	r.freeHead = freeHead
-	r.spares = spares
+	r.spares = nAvail
 	r.pending = nil
 	r.pendVals = make(map[uint64]pendingVal)
 	r.orphans = make(map[uint64]struct{})
 	return nil
+}
+
+// indexArena builds the dense DA and PA indexes over an arena decoded by
+// Restore or LoadState (src names which, for errors). It rejects a node
+// whose PA, linked DA or pointer slot lies outside the leveler's spaces
+// and a PA or DA that appears twice, and it allocates nothing for an
+// empty arena — the state of a chip that never acquired a page.
+func (r *Reviver) indexArena(nodes []shadowNode, src string) (daIdx, paIdx []uint32, linked int, err error) {
+	if len(nodes) == 0 {
+		return nil, nil, 0, nil
+	}
+	daIdx = make([]uint32, r.lv.NumDAs())
+	paIdx = make([]uint32, r.lv.NumPAs())
+	for i, n := range nodes {
+		if n.pa >= uint64(len(paIdx)) {
+			return nil, nil, 0, fmt.Errorf("reviver: %s shadow PA %d outside the PA space", src, n.pa)
+		}
+		if paIdx[n.pa] != 0 {
+			return nil, nil, 0, fmt.Errorf("reviver: %s repeats shadow PA %d", src, n.pa)
+		}
+		if n.slot != noSlot && n.slot >= uint64(len(paIdx)) {
+			return nil, nil, 0, fmt.Errorf("reviver: %s pointer slot %d outside the PA space", src, n.slot)
+		}
+		paIdx[n.pa] = uint32(i) + 1
+		if n.da == noDA {
+			continue
+		}
+		if n.da >= uint64(len(daIdx)) {
+			return nil, nil, 0, fmt.Errorf("reviver: %s links DA %d outside the DA space", src, n.da)
+		}
+		if other := daIdx[n.da]; other != 0 {
+			return nil, nil, 0, fmt.Errorf("reviver: %s links DA %d to shadow PAs %d and %d",
+				src, n.da, nodes[other-1].pa, n.pa)
+		}
+		daIdx[n.da] = uint32(i) + 1
+		linked++
+	}
+	return daIdx, paIdx, linked, nil
 }
 
 // snapReader is a bounds-checked little-endian reader.
@@ -225,4 +265,18 @@ func (s *snapReader) u64() (uint64, error) {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint64(b[:]), nil
+}
+
+// count reads a length prefix and rejects one claiming more elements of
+// elemSize bytes than the input has left, so a damaged length can never
+// drive an oversized allocation.
+func (s *snapReader) count(elemSize int) (int, error) {
+	n, err := s.u64()
+	if err != nil {
+		return 0, err
+	}
+	if n > uint64((len(s.buf)-s.off)/elemSize) {
+		return 0, fmt.Errorf("reviver: snapshot count %d at offset %d exceeds the remaining input", n, s.off)
+	}
+	return int(n), nil
 }

@@ -1,8 +1,11 @@
 package reviver
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 
+	"wlreviver/internal/ckpt"
 	"wlreviver/internal/osmodel"
 	"wlreviver/internal/trace"
 )
@@ -124,5 +127,142 @@ func TestRestoreValidatesAgainstChip(t *testing.T) {
 	other := newHarness(t, harnessOpts{blocks: 256, blocksPerPage: 16, endurance: 1e9, seed: 25})
 	if err := other.rv.Restore(snap); err == nil {
 		t.Fatal("snapshot restored against a chip with no matching failures")
+	}
+}
+
+// TestRestoreRejectsInconsistentImages edits single fields of a valid
+// reboot image so that it names one DA or PA twice, or a pointer slot
+// outside the retired pages, and expects Restore to refuse each.
+func TestRestoreRejectsInconsistentImages(t *testing.T) {
+	h := degradedHarness(t, 11)
+	good, err := h.rv.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.rv.LinkedFailures() < 2 {
+		t.Fatalf("need two links to edit, have %d", h.rv.LinkedFailures())
+	}
+	u64 := binary.LittleEndian.Uint64
+	bmLen := int(u64(good[8:]))
+	links := 16 + bmLen + 8 // first link record: (DA, PA)
+	nLinks := int(u64(good[links-8:]))
+	spares := links + 16*nLinks + 8
+	slots := spares + 8*int(u64(good[spares-8:])) + 8
+	if int(u64(good[slots-8:])) == 0 {
+		t.Fatal("image assigns no pointer slots to edit")
+	}
+	edit := func(off int, v uint64) []byte {
+		b := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint64(b[off:], v)
+		return b
+	}
+	cases := map[string][]byte{
+		"DA linked twice":            edit(links+16, u64(good[links:])),
+		"PA linked twice":            edit(links+24, u64(good[links+8:])),
+		"slot outside retired pages": edit(slots+8, h.lv.NumPAs()),
+	}
+	for name, data := range cases {
+		if err := h.reboot(t).Restore(data); err == nil {
+			t.Errorf("%s: inconsistent image accepted", name)
+		}
+	}
+}
+
+// reboot returns a fresh framework over a fresh OS model, keeping h's
+// non-volatile device and leveler: the state a rebooted controller
+// starts Restore from.
+func (h *harness) reboot(t testing.TB) *Reviver {
+	t.Helper()
+	osm, err := osmodel.New(h.lv.NumPAs(), h.os.BlocksPerPage())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rv, err := New(Config{}, h.lv, h.be, osm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rv
+}
+
+// FuzzReviverRestore feeds arbitrary reboot images to Restore against a
+// chip with linked failures. The image carries no checksum, so Restore
+// must reject every malformed one with an error rather than panic or
+// allocate without bound; an image it accepts must describe a
+// consistent arena and re-serialise to a fixed point. The seed corpus in
+// testdata/fuzz/FuzzReviverRestore holds an accepted image, a truncated
+// one and three that once panicked: a spare PA outside the PA space, a
+// bitmap length of 2^62 and a link count of 2^60.
+func FuzzReviverRestore(f *testing.F) {
+	h := degradedHarness(f, 11)
+	good, err := h.rv.Snapshot()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rv := h.reboot(t)
+		if err := rv.Restore(data); err != nil {
+			return
+		}
+		if got := rv.LinkedFailures() + rv.AvailableSpares(); got != len(rv.nodes) {
+			t.Fatalf("accepted image: %d linked + %d spare != %d arena nodes",
+				rv.LinkedFailures(), rv.AvailableSpares(), len(rv.nodes))
+		}
+		snap, err := rv.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		again := h.reboot(t)
+		if err := again.Restore(snap); err != nil {
+			t.Fatalf("re-serialised image rejected: %v", err)
+		}
+		snap2, err := again.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(snap, snap2) {
+			t.Fatal("restore/snapshot is not a fixed point")
+		}
+	})
+}
+
+// TestLoadStateRejectsOutOfRangeArena hands LoadState a well-framed
+// checkpoint whose one arena node names a PA, DA or pointer slot outside
+// the leveler's spaces. LoadState must refuse it before indexing the
+// dense arrays with it.
+func TestLoadStateRejectsOutOfRangeArena(t *testing.T) {
+	h := newHarness(t, harnessOpts{blocks: 64, blocksPerPage: 16, endurance: 1e9, seed: 23})
+	cases := map[string]shadowNode{
+		"PA":   {pa: h.lv.NumPAs(), da: noDA, slot: noSlot, next: noNode},
+		"DA":   {pa: 0, da: h.lv.NumDAs(), slot: noSlot, next: noNode},
+		"slot": {pa: 0, da: noDA, slot: h.lv.NumPAs(), next: noNode},
+	}
+	for name, n := range cases {
+		src, err := New(Config{}, h.lv, h.be, h.os)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src.nodes = []shadowNode{n}
+		if n.da == noDA {
+			src.freeHead = 0
+		}
+		e := ckpt.NewEncoder()
+		e.Begin("reviver")
+		src.SaveState(e)
+		e.End()
+		d, err := ckpt.NewDecoder(e.Finish())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Section("reviver"); err != nil {
+			t.Fatal(err)
+		}
+		dst, err := New(Config{}, h.lv, h.be, h.os)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.LoadState(d); err == nil {
+			t.Errorf("%s out of range: checkpoint accepted", name)
+		}
 	}
 }

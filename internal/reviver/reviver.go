@@ -35,7 +35,7 @@ package reviver
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"wlreviver/internal/cache"
 	"wlreviver/internal/mc"
@@ -99,10 +99,10 @@ type Stats struct {
 }
 
 // chainLink records one dead block on a walked chain together with the
-// virtual shadow PA that was followed out of it.
+// arena index of the virtual shadow that was followed out of it.
 type chainLink struct {
 	da  uint64
-	via uint64
+	via uint32
 }
 
 // pendingVal buffers the data of a suspended delivery so reads stay
@@ -156,9 +156,19 @@ type Reviver struct {
 	// [current, last] register pair to tolerate skips.
 	nodes    []shadowNode
 	freeHead uint32
-	byDA     map[uint64]uint32 // ckpt:derived failed DA -> arena index, rebuilt in LoadState
-	byPA     map[uint64]uint32 // ckpt:derived shadow PA -> arena index, rebuilt in LoadState
-	spares   int               // ckpt:derived free-list length, recounted in LoadState
+	// daIdx and paIdx index the arena densely — daIdx[da] and paIdx[pa]
+	// hold arena index+1, so zeroed memory reads as "absent" — the way a
+	// hardware remapper resolves an address by direct indexing rather
+	// than hashing. Both stay nil until the first page acquisition, so a
+	// chip that never fails pays nothing for them.
+	daIdx  []uint32 // ckpt:derived failed DA -> arena index+1, rebuilt in LoadState
+	paIdx  []uint32 // ckpt:derived shadow PA -> arena index+1, rebuilt in LoadState
+	linked int      // ckpt:derived nonzero daIdx entries, recounted in LoadState
+	spares int      // ckpt:derived free-list length, recounted in LoadState
+	// walk is deliver's reusable path buffer, so walking a chain through
+	// dead blocks allocates nothing once it has grown to the longest
+	// chain seen.
+	walk []chainLink // ckpt:skip scratch buffer, empty between deliveries
 
 	pending  []pendingOp
 	pendVals map[uint64]pendingVal // entry DA -> buffered data while suspended
@@ -207,8 +217,6 @@ func New(cfg Config, lv wear.Leveler, be *mc.Backend, os *osmodel.Model) (*Reviv
 		be:            be,
 		os:            os,
 		freeHead:      noNode,
-		byDA:          make(map[uint64]uint32),
-		byPA:          make(map[uint64]uint32),
 		pendVals:      make(map[uint64]pendingVal),
 		orphans:       make(map[uint64]struct{}),
 		shadowPerPage: shadow,
@@ -226,10 +234,28 @@ func (r *Reviver) AvailableSpares() int { return r.spares }
 
 // LinkedFailures returns the number of failed blocks currently linked to
 // virtual shadows.
-func (r *Reviver) LinkedFailures() int { return len(r.byDA) }
+func (r *Reviver) LinkedFailures() int { return r.linked }
 
 // HasPending reports whether a wear-leveling delivery is suspended.
 func (r *Reviver) HasPending() bool { return len(r.pending) > 0 }
+
+// ---- arena indexes --------------------------------------------------------
+
+// arenaIndex looks key up in a dense index (daIdx or paIdx), returning
+// the arena index it holds, if any. A nil index holds nothing.
+func arenaIndex(index []uint32, key uint64) (uint32, bool) {
+	if key >= uint64(len(index)) {
+		return 0, false
+	}
+	i := index[key]
+	return i - 1, i != 0
+}
+
+// setLink records da's virtual shadow as the node at idx.
+func (r *Reviver) setLink(idx uint32, da uint64) {
+	r.nodes[idx].da = da
+	r.daIdx[da] = idx + 1
+}
 
 // ---- spare-PA management -------------------------------------------------
 
@@ -242,12 +268,11 @@ func (r *Reviver) HasPending() bool { return len(r.pending) > 0 }
 // skipped nodes stay threaded in place, so the scan order matches the
 // paper's register-pair intent. The exclusion is passed as explicit walk
 // state rather than a closure so the per-write delivery path performs no
-// allocations.
-func (r *Reviver) takePA(path []chainLink, cur uint64, rm remap) (uint64, bool) {
+// allocations. It returns the taken node's arena index.
+func (r *Reviver) takePA(path []chainLink, cur uint64, rm remap) (uint32, bool) {
 	prev := noNode
 	for idx := r.freeHead; idx != noNode; idx = r.nodes[idx].next {
-		p := r.nodes[idx].pa
-		if onWalk(path, cur, rm.mapPA(r, p)) {
+		if onWalk(path, cur, rm.mapPA(r, r.nodes[idx].pa)) {
 			prev = idx
 			continue
 		}
@@ -258,9 +283,9 @@ func (r *Reviver) takePA(path []chainLink, cur uint64, rm remap) (uint64, bool) 
 		}
 		r.nodes[idx].next = noNode
 		r.spares--
-		return p, true
+		return idx, true
 	}
-	return 0, false
+	return noNode, false
 }
 
 // pushSpare returns a node to the head of the spare free list.
@@ -287,13 +312,12 @@ func onWalk(path []chainLink, cur, da uint64) bool {
 // link records da's virtual shadow: the PA pointer is written into the
 // failed block itself (readable thanks to strong in-block coding, as in
 // FREE-p/Zombie), and the inverse pointer is written into the block
-// mapped by the PA's pointer-section slot. p must have come from takePA
-// (off the free list).
-func (r *Reviver) link(da, p uint64) {
+// mapped by the PA's pointer-section slot. idx must have come from
+// takePA (off the free list).
+func (r *Reviver) link(da uint64, idx uint32) {
 	delete(r.orphans, da)
-	idx := r.byPA[p]
-	r.nodes[idx].da = da
-	r.byDA[da] = idx
+	r.setLink(idx, da)
+	r.linked++
 	r.writeInv(idx)
 	r.be.Dev.Write(pcmBlock(da)) // pointer write into the failed block
 	r.st.MaintenanceAccesses++
@@ -302,7 +326,7 @@ func (r *Reviver) link(da, p uint64) {
 		r.cfg.RemapCache.Invalidate(da)
 	}
 	if r.cfg.Observer != nil {
-		r.cfg.Observer.Revived(da, p)
+		r.cfg.Observer.Revived(da, r.nodes[idx].pa)
 	}
 }
 
@@ -345,6 +369,10 @@ func (r *Reviver) acquirePage(reportPA uint64) []osmodel.Relocation {
 			toCopy = append(toCopy, saved{rc: rc, tag: tag})
 		}
 	}
+	if r.paIdx == nil {
+		r.daIdx = make([]uint32, r.lv.NumDAs())
+		r.paIdx = make([]uint32, r.lv.NumPAs())
+	}
 	shadow := pas[:r.shadowPerPage]
 	slots := pas[r.shadowPerPage:]
 	perBlock := uint64(r.be.Dev.Config().BlockBytes / r.cfg.PointerBytes)
@@ -355,12 +383,12 @@ func (r *Reviver) acquirePage(reportPA uint64) []osmodel.Relocation {
 		}
 		idx := uint32(len(r.nodes))
 		r.nodes = append(r.nodes, shadowNode{pa: p, da: noDA, slot: slot, next: noNode})
-		r.byPA[p] = idx
+		r.paIdx[p] = idx + 1
 		r.pushSpare(idx)
 	}
 	performed := make([]osmodel.Relocation, 0, len(toCopy))
 	for _, s := range toCopy {
-		acc, needPA, _ := r.deliver(r.lv.Map(s.rc.NewPA), s.tag, nil, remap{}, true, true)
+		acc, needPA, _ := r.deliver(r.lv.Map(s.rc.NewPA), s.tag, chainLink{}, false, remap{}, true, true)
 		r.st.MaintenanceAccesses += acc
 		if needPA {
 			// Even the fresh page could not supply a spare for the copy
@@ -389,13 +417,13 @@ func (r *Reviver) sweepOrphans() {
 	for da := range r.orphans {
 		das = append(das, da)
 	}
-	sort.Slice(das, func(i, j int) bool { return das[i] < das[j] })
+	slices.Sort(das)
 	for _, da := range das {
 		if !r.be.Dead(da) {
 			delete(r.orphans, da)
 			continue
 		}
-		if _, linked := r.byDA[da]; linked {
+		if _, linked := arenaIndex(r.daIdx, da); linked {
 			delete(r.orphans, da)
 			continue
 		}
@@ -408,8 +436,8 @@ func (r *Reviver) sweepOrphans() {
 			continue
 		}
 		headPA, okHead := r.lv.Inverse(da)
-		head := r.chainHead(headPA, okHead, da)
-		acc, _, _ := r.deliver(da, 0, head, remap{}, false, false)
+		head, hasHead := r.chainHead(headPA, okHead, da)
+		acc, _, _ := r.deliver(da, 0, head, hasHead, remap{}, false, false)
 		r.st.MaintenanceAccesses += acc
 	}
 }
@@ -451,9 +479,11 @@ func (m remap) mapPA(r *Reviver, p uint64) uint64 {
 // into the first healthy block (when doWrite is set), and then reduces
 // the walked chain to one step by switching virtual shadows.
 //
-// head seeds the walk with a chain element *above* entry: the failed
-// block whose virtual shadow will map to entry once the in-flight
-// mapping update lands (scenario 2, Fig. 3).
+// head, when hasHead is set, seeds the walk with a chain element *above*
+// entry: the failed block whose virtual shadow will map to entry once
+// the in-flight mapping update lands (scenario 2, Fig. 3). The walk is
+// recorded in the Reviver's reusable buffer, so deliveries never
+// allocate once it has grown.
 //
 // needPA is returned when a link was needed but no spare PA exists; in
 // that case no data was written and the caller must suspend. stopDA is
@@ -461,8 +491,8 @@ func (m remap) mapPA(r *Reviver, p uint64) uint64 {
 // already rewired the walked chain one hop from that block, so a
 // suspension must target stopDA (via retarget), not the original entry
 // — which may now sit on a dataless loop.
-func (r *Reviver) deliver(entry, tag uint64, head []chainLink, rm remap, doWrite, hasData bool) (accesses uint64, needPA bool, stopDA uint64) {
-	if doWrite && hasData {
+func (r *Reviver) deliver(entry, tag uint64, head chainLink, hasHead bool, rm remap, doWrite, hasData bool) (accesses uint64, needPA bool, stopDA uint64) {
+	if doWrite && hasData && len(r.pendVals) > 0 {
 		if _, suspended := r.pendVals[entry]; suspended {
 			// A suspended delivery already targets this entry; writing
 			// around it would be undone when it resumes with its stale
@@ -482,7 +512,10 @@ func (r *Reviver) deliver(entry, tag uint64, head []chainLink, rm remap, doWrite
 			return 0, false, entry
 		}
 	}
-	path := head
+	path := r.walk[:0]
+	if hasHead {
+		path = append(path, head)
+	}
 	cur := entry
 	limit := int(r.lv.NumDAs()) + 8
 	for steps := 0; ; steps++ {
@@ -496,8 +529,7 @@ func (r *Reviver) deliver(entry, tag uint64, head []chainLink, rm remap, doWrite
 					// The block died under this very write (Fig. 2c).
 					var ok bool
 					if path, cur, ok = r.freshLink(path, cur, rm); !ok {
-						r.orphans[cur] = struct{}{}
-						r.reduce(path) // shorten what was walked so far
+						r.starve(path, cur)
 						return accesses, true, cur
 					}
 					continue
@@ -509,27 +541,27 @@ func (r *Reviver) deliver(entry, tag uint64, head []chainLink, rm remap, doWrite
 			break
 		}
 		// Dead block: follow (or create) its virtual shadow link.
-		idx, linked := r.byDA[cur]
-		var p uint64
+		idx, linked := arenaIndex(r.daIdx, cur)
+		var next uint64
 		if linked {
-			p = r.nodes[idx].pa
+			next = rm.mapPA(r, r.nodes[idx].pa)
 		}
-		if linked && onWalk(path, cur, rm.mapPA(r, p)) {
+		if linked && onWalk(path, cur, next) {
 			// Following the existing link would close a cycle: either the
 			// block sits on a PA-DA loop that data now needs to flow
 			// through, or the link points back into the walked chain.
 			// Recycle the virtual shadow into the spare pool and relink
 			// the block afresh.
 			r.nodes[idx].da = noDA
-			delete(r.byDA, cur)
+			r.daIdx[cur] = 0
+			r.linked--
 			r.pushSpare(idx)
 			linked = false
 		}
 		if !linked {
 			var ok bool
 			if path, cur, ok = r.freshLink(path, cur, rm); !ok {
-				r.orphans[cur] = struct{}{}
-				r.reduce(path) // shorten what was walked so far
+				r.starve(path, cur)
 				return accesses, true, cur
 			}
 			continue
@@ -540,11 +572,21 @@ func (r *Reviver) deliver(entry, tag uint64, head []chainLink, rm remap, doWrite
 			r.be.ReadRaw(cur)
 			accesses++
 		}
-		path = append(path, chainLink{da: cur, via: p})
-		cur = rm.mapPA(r, p)
+		path = append(path, chainLink{da: cur, via: idx})
+		cur = next
 	}
 	r.reduce(path)
+	r.walk = path[:0]
 	return accesses, false, entry
+}
+
+// starve ends a delivery whose walk found no spare PA for cur: cur is
+// left as an orphan for the next acquisition's sweep, and what was
+// walked so far is shortened.
+func (r *Reviver) starve(path []chainLink, cur uint64) {
+	r.orphans[cur] = struct{}{}
+	r.reduce(path)
+	r.walk = path[:0]
 }
 
 // retarget redirects a starved delivery to the walk's starvation point.
@@ -565,13 +607,13 @@ func (r *Reviver) retarget(stopDA, entry uint64, headPA uint64, hasHead bool) (u
 // grown path and the new cursor; ok is false when the spare pool is
 // starved, leaving path and cur unchanged.
 func (r *Reviver) freshLink(path []chainLink, cur uint64, rm remap) ([]chainLink, uint64, bool) {
-	p, ok := r.takePA(path, cur, rm)
+	idx, ok := r.takePA(path, cur, rm)
 	if !ok {
 		return path, cur, false
 	}
-	r.link(cur, p)
-	path = append(path, chainLink{da: cur, via: p})
-	return path, rm.mapPA(r, p), true
+	r.link(cur, idx)
+	path = append(path, chainLink{da: cur, via: idx})
+	return path, rm.mapPA(r, r.nodes[idx].pa), true
 }
 
 // reduce collapses a walked multi-step chain to one step: the chain's
@@ -590,15 +632,13 @@ func (r *Reviver) reduce(path []chainLink) {
 	r.st.ChainSwitches++
 }
 
-// rewritePtr points da's virtual shadow at p, updating the in-block
-// pointer, the inverse pointer, and the remap cache. Only reduce calls
-// it, with a permutation of the walked path's (da, via) pairs, so every
-// arena node touched here is reassigned exactly once and no stale byDA
-// entry survives the loop.
-func (r *Reviver) rewritePtr(da, p uint64) {
-	idx := r.byPA[p]
-	r.nodes[idx].da = da
-	r.byDA[da] = idx
+// rewritePtr points da's virtual shadow at the node at idx, updating the
+// in-block pointer, the inverse pointer, and the remap cache. Only
+// reduce calls it, with a permutation of the walked path's (da, via)
+// pairs, so every arena node touched here is reassigned exactly once and
+// no stale daIdx entry survives the loop.
+func (r *Reviver) rewritePtr(da uint64, idx uint32) {
+	r.setLink(idx, da)
 	r.writeInv(idx)
 	r.be.Dev.Write(pcmBlock(da))
 	r.st.MaintenanceAccesses++
@@ -612,23 +652,27 @@ func (r *Reviver) rewritePtr(da, p uint64) {
 // an unlinked failure being handled elsewhere).
 func (r *Reviver) readEffective(da uint64) (tag uint64, has bool, accesses uint64) {
 	cur := da
+	suspended := len(r.pendVals) > 0
 	for steps := 0; ; steps++ {
 		if steps > walkLimit {
 			panic(fmt.Sprintf("reviver: read walk from DA %d exceeded %d steps", da, walkLimit))
 		}
-		if v, pending := r.pendVals[cur]; pending {
-			// The data sits in the controller's suspended-migration
-			// buffer. Checked at every step, not just the entry: a chain
-			// may legitimately run through a block whose own delivery is
-			// suspended (the head was walked before the suspension).
-			return v.tag, v.has, accesses
+		if suspended {
+			if v, pending := r.pendVals[cur]; pending {
+				// The data sits in the controller's suspended-migration
+				// buffer. Checked at every step, not just the entry: a
+				// chain may legitimately run through a block whose own
+				// delivery is suspended (the head was walked before the
+				// suspension).
+				return v.tag, v.has, accesses
+			}
 		}
 		if !r.be.Dead(cur) {
 			r.be.ReadRaw(cur)
 			accesses++
 			return r.be.Dev.Content(pcmBlock(cur)), true, accesses
 		}
-		idx, linked := r.byDA[cur]
+		idx, linked := arenaIndex(r.daIdx, cur)
 		if !linked {
 			return 0, false, accesses // unlinked failure: no stored data
 		}
@@ -644,25 +688,25 @@ func (r *Reviver) readEffective(da uint64) (tag uint64, has bool, accesses uint6
 	}
 }
 
-// chainHead returns the one-element head slice for a delivery whose
-// entry will, after the in-flight mapping update, be mapped by headPA —
-// when headPA is some failed block's virtual shadow, that block's chain
-// now runs through the entry and must join the reduction. A head equal
-// to the entry itself (the entry's own shadow is remapping onto it) is
-// omitted: the walk's loop-recycling handles that case directly.
-func (r *Reviver) chainHead(headPA uint64, ok bool, entry uint64) []chainLink {
+// chainHead returns the head link for a delivery whose entry will, after
+// the in-flight mapping update, be mapped by headPA — when headPA is
+// some failed block's virtual shadow, that block's chain now runs
+// through the entry and must join the reduction. A head equal to the
+// entry itself (the entry's own shadow is remapping onto it) is omitted:
+// the walk's loop-recycling handles that case directly.
+func (r *Reviver) chainHead(headPA uint64, ok bool, entry uint64) (chainLink, bool) {
 	if !ok {
-		return nil
+		return chainLink{}, false
 	}
-	idx, isShadow := r.byPA[headPA]
+	idx, isShadow := arenaIndex(r.paIdx, headPA)
 	if !isShadow {
-		return nil
+		return chainLink{}, false
 	}
 	d := r.nodes[idx].da
 	if d == noDA || d == entry || !r.be.Dead(d) {
-		return nil
+		return chainLink{}, false
 	}
-	return []chainLink{{da: d, via: headPA}}
+	return chainLink{da: d, via: idx}, true
 }
 
 // ---- mc.Protector: software request path ----------------------------------
@@ -688,7 +732,7 @@ func (r *Reviver) Write(pa, tag uint64) mc.WriteResult {
 	r.lastWritePA = pa
 	r.lastWriteOK = true
 	da := r.lv.Map(pa)
-	accesses, needPA, _ := r.deliver(da, tag, nil, remap{}, true, true)
+	accesses, needPA, _ := r.deliver(da, tag, chainLink{}, false, remap{}, true, true)
 	r.st.RequestAccesses += accesses
 	if needPA {
 		// A genuine write failure with the spare pool empty: report it.
@@ -723,8 +767,8 @@ func (r *Reviver) resume() uint64 {
 		// Clear the buffer first: deliver treats a buffered entry as "a
 		// suspended op owns this" and would supersede instead of writing.
 		delete(r.pendVals, op.entry)
-		head := r.chainHead(op.headPA, op.hasHead, op.entry)
-		accesses, needPA, stop := r.deliver(op.entry, op.tag, head, remap{}, true, op.has)
+		head, okHead := r.chainHead(op.headPA, op.hasHead, op.entry)
+		accesses, needPA, stop := r.deliver(op.entry, op.tag, head, okHead, remap{}, true, op.has)
 		total += accesses
 		if needPA {
 			// Still starved: the failed walk may have rewired the chain
@@ -752,7 +796,8 @@ func (r *Reviver) suspend(entry, tag uint64, has bool, headPA uint64, hasHead bo
 	if r.cfg.ImmediateAcquisition && r.lastWriteOK && !r.os.Retired(r.lastWritePA) {
 		r.acquirePage(r.lastWritePA)
 		r.lastWriteOK = false
-		accesses, needPA, stop := r.deliver(entry, tag, r.chainHead(headPA, hasHead, entry), remap{}, true, has)
+		head, okHead := r.chainHead(headPA, hasHead, entry)
+		accesses, needPA, stop := r.deliver(entry, tag, head, okHead, remap{}, true, has)
 		r.st.MaintenanceAccesses += accesses
 		if !needPA {
 			return
@@ -788,7 +833,8 @@ func (r *Reviver) Migrate(src, dst uint64) {
 	if okHead {
 		rm = remap{pa1: headPA, da1: dst, n: 1}
 	}
-	accesses, needPA, stop := r.deliver(dst, tag, r.chainHead(headPA, okHead, dst), rm, true, has)
+	head, hasHead := r.chainHead(headPA, okHead, dst)
+	accesses, needPA, stop := r.deliver(dst, tag, head, hasHead, rm, true, has)
 	r.st.MaintenanceAccesses += accesses
 	if needPA {
 		e, h, ok := r.retarget(stop, dst, headPA, okHead)
@@ -829,7 +875,8 @@ func (r *Reviver) deliverOrSuspend(entry, tag uint64, has bool, headPA uint64, h
 		r.suspend(entry, tag, has, headPA, hasHead)
 		return
 	}
-	accesses, needPA, stop := r.deliver(entry, tag, r.chainHead(headPA, hasHead, entry), rm, true, has)
+	head, okHead := r.chainHead(headPA, hasHead, entry)
+	accesses, needPA, stop := r.deliver(entry, tag, head, okHead, rm, true, has)
 	r.st.MaintenanceAccesses += accesses
 	if needPA {
 		e, h, ok := r.retarget(stop, entry, headPA, hasHead)
@@ -841,7 +888,7 @@ func (r *Reviver) deliverOrSuspend(entry, tag uint64, has bool, headPA uint64, h
 
 // ShadowPA returns da's virtual shadow PA, if linked.
 func (r *Reviver) ShadowPA(da uint64) (uint64, bool) {
-	idx, ok := r.byDA[da]
+	idx, ok := arenaIndex(r.daIdx, da)
 	if !ok {
 		return 0, false
 	}
@@ -851,7 +898,7 @@ func (r *Reviver) ShadowPA(da uint64) (uint64, bool) {
 // InversePointer returns the failed DA recorded for virtual shadow PA p.
 // Spare shadows record no DA.
 func (r *Reviver) InversePointer(p uint64) (uint64, bool) {
-	idx, ok := r.byPA[p]
+	idx, ok := arenaIndex(r.paIdx, p)
 	if !ok || r.nodes[idx].da == noDA {
 		return 0, false
 	}
@@ -861,7 +908,7 @@ func (r *Reviver) InversePointer(p uint64) (uint64, bool) {
 // OnLoop reports whether da sits on a PA-DA loop (its virtual shadow
 // maps straight back to it).
 func (r *Reviver) OnLoop(da uint64) bool {
-	idx, ok := r.byDA[da]
+	idx, ok := arenaIndex(r.daIdx, da)
 	return ok && r.lv.Map(r.nodes[idx].pa) == da
 }
 
@@ -874,7 +921,7 @@ func (r *Reviver) ChainSteps(da uint64) (int, bool) {
 		if !r.be.Dead(cur) {
 			return steps, true
 		}
-		idx, ok := r.byDA[cur]
+		idx, ok := arenaIndex(r.daIdx, cur)
 		if !ok {
 			return steps, false
 		}
@@ -900,11 +947,13 @@ func (r *Reviver) SparePAs() []uint64 {
 // LinkedDAs returns the currently linked failed DAs in ascending order,
 // for tests and invariant checks.
 func (r *Reviver) LinkedDAs() []uint64 {
-	out := make([]uint64, 0, len(r.byDA))
-	for da := range r.byDA {
-		out = append(out, da)
+	out := make([]uint64, 0, r.linked)
+	for _, n := range r.nodes {
+		if n.da != noDA {
+			out = append(out, n.da)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -206,6 +206,10 @@ func (h *harness) verifyTheorems() {
 	if h.rv.HasPending() {
 		return
 	}
+	linked := h.rv.LinkedDAs()
+	if h.rv.LinkedFailures() != len(linked) {
+		h.t.Fatalf("LinkedFailures() = %d, but the arena links %d DAs", h.rv.LinkedFailures(), len(linked))
+	}
 	// Theorem 1: every software-accessible failed block has a one-step
 	// chain to a healthy block.
 	for pa := uint64(0); pa < h.lv.NumPAs(); pa++ {
@@ -233,7 +237,7 @@ func (h *harness) verifyTheorems() {
 		}
 	}
 	// Loop blocks must not be mapped by any live software PA.
-	for da := range h.rv.byDA {
+	for _, da := range linked {
 		if !h.rv.OnLoop(da) {
 			continue
 		}
@@ -443,7 +447,7 @@ func TestDisableChainReductionAblation(t *testing.T) {
 			break
 		}
 		if i%5_000 == 0 && !h.rv.HasPending() {
-			for da := range h.rv.byDA {
+			for _, da := range h.rv.LinkedDAs() {
 				if s, healthy := h.rv.ChainSteps(da); healthy && s > maxSteps {
 					maxSteps = s
 				}
@@ -500,7 +504,7 @@ func TestIntrospectionHelpers(t *testing.T) {
 		t.Skip("no failure occurred")
 	}
 	found := false
-	for da := range h.rv.byDA {
+	for _, da := range h.rv.LinkedDAs() {
 		p, ok := h.rv.ShadowPA(da)
 		if !ok {
 			t.Fatalf("linked block %d has no ShadowPA", da)

@@ -8,10 +8,11 @@ import (
 
 // SaveState serializes the framework's mutable state: the shadow arena
 // (links, slot assignments and the spare free list as one contiguous
-// run of nodes), suspended deliveries and activity counters. The byDA
-// and byPA index maps and the spare count are derived from the arena and
-// are rebuilt on load. Unlike Snapshot (the in-PCM reboot image, which
-// refuses pending operations), this is a faithful mid-run capture.
+// run of nodes), suspended deliveries and activity counters. The dense
+// DA and PA indexes, the link count and the spare count are derived from
+// the arena and are rebuilt on load. Unlike Snapshot (the in-PCM reboot
+// image, which refuses pending operations), this is a faithful mid-run
+// capture.
 func (r *Reviver) SaveState(e *ckpt.Encoder) {
 	e.U32(uint32(len(r.nodes)))
 	for _, n := range r.nodes {
@@ -123,21 +124,9 @@ func (r *Reviver) LoadState(dec *ckpt.Decoder) error {
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	byPA := make(map[uint64]uint32, len(nodes))
-	byDA := make(map[uint64]uint32)
-	for i, n := range nodes {
-		if _, dup := byPA[n.pa]; dup {
-			return fmt.Errorf("reviver: checkpoint arena repeats shadow PA %d", n.pa)
-		}
-		byPA[n.pa] = uint32(i)
-		if n.da == noDA {
-			continue
-		}
-		if other, dup := byDA[n.da]; dup {
-			return fmt.Errorf("reviver: checkpoint links DA %d to shadow PAs %d and %d",
-				n.da, nodes[other].pa, n.pa)
-		}
-		byDA[n.da] = uint32(i)
+	daIdx, paIdx, linked, err := r.indexArena(nodes, "checkpoint")
+	if err != nil {
+		return err
 	}
 	spares := 0
 	for idx := freeHead; idx != noNode; {
@@ -153,14 +142,15 @@ func (r *Reviver) LoadState(dec *ckpt.Decoder) error {
 		}
 		idx = nodes[idx].next
 	}
-	if linkedAndSpare := len(byDA) + spares; linkedAndSpare != len(nodes) {
+	if linked+spares != len(nodes) {
 		return fmt.Errorf("reviver: checkpoint arena has %d nodes but %d linked + %d spare",
-			len(nodes), len(byDA), spares)
+			len(nodes), linked, spares)
 	}
 	r.nodes = nodes
 	r.freeHead = freeHead
-	r.byDA = byDA
-	r.byPA = byPA
+	r.daIdx = daIdx
+	r.paIdx = paIdx
+	r.linked = linked
 	r.spares = spares
 	r.pending = pending
 	r.pendVals = pendVals

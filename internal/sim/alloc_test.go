@@ -13,9 +13,12 @@ import (
 // attached — and the sharded merge barrier must cost O(1) allocations
 // per round regardless of how many events the round buffered.
 //
-// Endurance is pushed far above the measured write budget so the
-// steady-state samples contain no cell failures (failure bookkeeping is
-// allowed to allocate: it inserts into the sparse failure index).
+// Failure bookkeeping may allocate: a fresh cell failure inserts into
+// the PCM's sparse failure index, and a fresh block failure may link a
+// shadow or acquire a page. Walking an already-linked chain may not;
+// internal/reviver's TestRevivedWriteAllocs pins that on a degraded
+// chip. Endurance here is pushed far above the measured write budget so
+// the steady-state samples contain no failures at all.
 
 func steadyConfig(observer obs.Observer) Config {
 	s := TinyScale()
