@@ -54,7 +54,8 @@ microbench:
 
 # Brief fuzzing pass over the checkpoint wire format, the engine
 # restore path, WL-Reviver's reboot-image decoder, the Start-Gap mapping
-# algebra and the PCM device's incremental failure-horizon rescan. Each
+# algebra, the PCM device's incremental failure-horizon rescan, and
+# wlserved's write-body decoder and journal replay. Each
 # target's seed corpus lives in its package's testdata/fuzz/ and replays
 # as part of the ordinary test suite (the CI smoke run); this target
 # additionally explores new inputs for a few seconds each.
@@ -67,6 +68,8 @@ fuzz:
 	go test ./internal/sim -fuzz FuzzRestoreRejectsCorrupt -fuzztime 10s
 	go test ./internal/reviver -fuzz FuzzReviverRestore -fuzztime 10s
 	go test ./internal/pcm -fuzz FuzzHorizonSchedule -fuzztime 10s
+	go test ./internal/serve -fuzz FuzzWriteBody -fuzztime 10s
+	go test ./internal/serve -fuzz FuzzJournalReplay -fuzztime 10s
 
 # wlserved crash-durability smoke: drive 50 devices with wlload,
 # kill -9 the daemon mid-run, restart over the same spill directory and

@@ -31,7 +31,11 @@ func NewClient(base string, hc *http.Client) *Client {
 
 // Create registers a device.
 func (c *Client) Create(ctx context.Context, id string, spec DeviceSpec) error {
-	_, err := c.do(ctx, http.MethodPost, "/v1/devices", createRequest{ID: id, Spec: spec})
+	body, err := json.Marshal(createRequest{ID: id, Spec: spec})
+	if err != nil {
+		return err
+	}
+	_, err = c.do(ctx, http.MethodPost, "/v1/devices", body)
 	return err
 }
 
@@ -46,7 +50,9 @@ func (c *Client) WriteAddrs(ctx context.Context, id string, addrs []uint64) (Wri
 }
 
 func (c *Client) write(ctx context.Context, id string, req writeRequest) (WriteResult, error) {
-	data, err := c.do(ctx, http.MethodPost, "/v1/devices/"+url.PathEscape(id)+"/writes", req)
+	// Room for addresses of up to seven digits; larger ones grow it.
+	body := appendWriteRequest(make([]byte, 0, 32+8*len(req.Addrs)), req)
+	data, err := c.do(ctx, http.MethodPost, "/v1/devices/"+url.PathEscape(id)+"/writes", body)
 	if err != nil {
 		return WriteResult{}, err
 	}
@@ -132,16 +138,13 @@ func (c *Client) Health(ctx context.Context) (Health, error) {
 	return h, nil
 }
 
-// do issues one request and returns the response body, decoding error
-// payloads back into the sentinel taxonomy.
-func (c *Client) do(ctx context.Context, method, path string, body any) ([]byte, error) {
+// do issues one request with a JSON body (none when nil) and returns
+// the response body, decoding error payloads back into the sentinel
+// taxonomy.
+func (c *Client) do(ctx context.Context, method, path string, body []byte) ([]byte, error) {
 	var rd io.Reader
 	if body != nil {
-		data, err := json.Marshal(body)
-		if err != nil {
-			return nil, err
-		}
-		rd = bytes.NewReader(data)
+		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {

@@ -391,8 +391,8 @@ func TestStaleSpillDoesNotClobberReload(t *testing.T) {
 
 // TestJournalAddrBatchChunking pins the bounded-record invariant: an
 // address batch larger than addrsPerRecord spans several records with
-// correct intermediate absolute totals, every line stays far below the
-// replay scanner's cap, and reading back reproduces the batch exactly.
+// correct intermediate absolute totals, every line stays under 1 MiB,
+// and reading back reproduces the batch exactly.
 func TestJournalAddrBatchChunking(t *testing.T) {
 	dir := t.TempDir()
 	jl, err := openJournal(dir, false)
@@ -417,7 +417,7 @@ func TestJournalAddrBatchChunking(t *testing.T) {
 	}
 	for _, line := range bytes.Split(data, []byte{'\n'}) {
 		if len(line) > 1<<20 {
-			t.Fatalf("journal line of %d bytes would outgrow the replay scanner", len(line))
+			t.Fatalf("journal line of %d bytes is not bounded by addrsPerRecord", len(line))
 		}
 	}
 	recs, err := readJournal(dir)

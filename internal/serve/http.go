@@ -120,8 +120,13 @@ func NewHandler(f *Fleet) http.Handler {
 		writeJSON(w, http.StatusOK, st)
 	})
 	mux.HandleFunc("POST /v1/devices/{id}/writes", func(w http.ResponseWriter, r *http.Request) {
-		var req writeRequest
-		if !readJSON(w, r, &req) {
+		body, ok := readBody(w, r)
+		if !ok {
+			return
+		}
+		req, err := decodeWriteRequest(body)
+		if err != nil {
+			writeError(w, malformedBody(err))
 			return
 		}
 		if (req.Count > 0) == (len(req.Addrs) > 0) {
@@ -129,7 +134,6 @@ func NewHandler(f *Fleet) http.Handler {
 			return
 		}
 		var wr WriteResult
-		var err error
 		if req.Count > 0 {
 			wr, err = f.Write(r.Context(), r.PathValue("id"), req.Count)
 		} else {
@@ -171,18 +175,42 @@ func NewHandler(f *Fleet) http.Handler {
 	return mux
 }
 
+// maxBodyBytes caps a request body.
+const maxBodyBytes = 16 << 20
+
 // readJSON decodes a request body, answering 400 on malformed input.
 func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
-	if err != nil {
-		writeError(w, fmt.Errorf("serve: reading request body: %v: %w", err, sim.ErrBadConfig))
+	body, ok := readBody(w, r)
+	if !ok {
 		return false
 	}
 	if err := json.Unmarshal(body, v); err != nil {
-		writeError(w, fmt.Errorf("serve: malformed request body: %v: %w", err, sim.ErrBadConfig))
+		writeError(w, malformedBody(err))
 		return false
 	}
 	return true
+}
+
+// readBody reads a request body of at most maxBodyBytes, answering 400
+// when it is longer or cannot be read.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		var tooLong *http.MaxBytesError
+		if errors.As(err, &tooLong) {
+			err = fmt.Errorf("serve: request body exceeds %d MiB: %w", maxBodyBytes>>20, sim.ErrBadConfig)
+		} else {
+			err = fmt.Errorf("serve: reading request body: %v: %w", err, sim.ErrBadConfig)
+		}
+		writeError(w, err)
+		return nil, false
+	}
+	return body, true
+}
+
+// malformedBody wraps a body decoding error as a 400.
+func malformedBody(err error) error {
+	return fmt.Errorf("serve: malformed request body: %v: %w", err, sim.ErrBadConfig)
 }
 
 // writeJSON writes a JSON response.

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -174,5 +175,85 @@ func TestHTTPRequestValidation(t *testing.T) {
 	}
 	if resp := post("/v1/devices/dev/writes", `{"count":1,"addrs":[2]}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("ambiguous write: %d, want 400", resp.StatusCode)
+	}
+	// Non-canonical JSON still decodes, through encoding/json.
+	if resp := post("/v1/devices/dev/writes", `{"Count": 5, "ignored": null}`); resp.StatusCode != http.StatusOK {
+		t.Errorf("non-canonical write: %d, want 200", resp.StatusCode)
+	}
+	if resp := post("/v1/devices/dev/writes", `{"count":-1}`); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("negative count: %d, want 400", resp.StatusCode)
+	}
+	// A body over the cap is reported as too long, not as malformed
+	// JSON. The handler is called directly: a client streaming the rest
+	// of the body races the server's early close.
+	big := make([]byte, 0, maxBodyBytes+2<<20)
+	big = append(big, `{"addrs":[1`...)
+	for len(big) < maxBodyBytes+1<<20 {
+		big = append(big, ",1"...)
+	}
+	big = append(big, "]}"...)
+	rec := httptest.NewRecorder()
+	NewHandler(f).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/devices/dev/writes", bytes.NewReader(big)))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "exceeds 16 MiB") ||
+		!strings.Contains(rec.Body.String(), `"kind":"bad_config"`) {
+		t.Errorf("over-limit body: %d %s, want 400 naming the 16 MiB cap", rec.Code, rec.Body)
+	}
+}
+
+// TestHTTPMetricsAfterReload checks GET /v1/devices/{id}/metrics
+// against a standalone engine fed the same writes, with metrics reads
+// between writes and the device evicted and reloaded between requests.
+func TestHTTPMetricsAfterReload(t *testing.T) {
+	spec := testSpec(7)
+	addrs := []uint64{1, 2, 3, 500, 7, 7, 9}
+	cfg := testConfig(t)
+	cfg.MaxResident = 1
+	f, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	srv := httptest.NewServer(NewHandler(f))
+	defer srv.Close()
+	c := NewClient(srv.URL, srv.Client())
+	ctx := context.Background()
+	for _, id := range []string{"dev", "other"} {
+		if err := c.Create(ctx, id, spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got []byte
+	for round := 0; round < 4; round++ {
+		if _, err := c.Write(ctx, "dev", 5_000); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.WriteAddrs(ctx, "dev", addrs); err != nil {
+			t.Fatal(err)
+		}
+		if got, err = c.Metrics(ctx, "dev"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Write(ctx, "other", 100); err != nil { // evicts dev
+			t.Fatal(err)
+		}
+	}
+
+	eng, err := buildEngine(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 4; round++ {
+		eng.RunN(5_000)
+		for _, a := range addrs {
+			eng.WriteTagged(a, eng.Writes())
+		}
+	}
+	m, _ := eng.Metrics()
+	want, err := json.Marshal(m.Report())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("metrics after reload differ from a standalone engine:\nfleet: %s\nsolo:  %s", got, want)
 	}
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"os"
@@ -51,6 +50,7 @@ type journalRecord struct {
 type journal struct {
 	f    *os.File
 	sync bool
+	buf  []byte // record bytes of the append in progress, reused
 }
 
 // openJournal opens (creating if absent) the device's journal for
@@ -66,21 +66,23 @@ func openJournal(dir string, sync bool) (*journal, error) {
 // appendCount journals a count batch whose serviced writes brought the
 // device total to after, syncing before return.
 func (j *journal) appendCount(after uint64) error {
-	var buf bytes.Buffer
-	buf.WriteByte('c')
-	buf.WriteByte(' ')
-	buf.WriteString(strconv.FormatUint(after, 10))
-	buf.WriteByte('\n')
-	return j.append(buf.Bytes())
+	j.buf = append(j.buf[:0], 'c', ' ')
+	j.buf = strconv.AppendUint(j.buf, after, 10)
+	j.buf = append(j.buf, '\n')
+	return j.append(j.buf)
 }
 
-// addrsPerRecord bounds one address record so its journal line (~21
-// bytes per decimal address) stays far below replay's scanner cap —
-// WriteAddrs accepts arbitrarily large batches in-process, and a
-// single unbounded line would make the device unloadable after the
-// fact. Larger batches are split into several records carrying
-// intermediate absolute totals, written and synced as one append.
+// addrsPerRecord bounds one address record's journal line (~21 bytes
+// per decimal address) — WriteAddrs accepts arbitrarily large batches
+// in-process, and replay holds one record's addresses at a time. Larger
+// batches are split into several records carrying intermediate
+// absolute totals, written and synced as one append.
 const addrsPerRecord = 1 << 12
+
+// maxKeptBuf is the largest record buffer a journal keeps between
+// appends; one huge batch must not pin its bytes for the resident's
+// lifetime.
+const maxKeptBuf = 1 << 20
 
 // appendAddrs journals an explicit-address batch (the serviced prefix
 // only) whose writes brought the device total to after, syncing before
@@ -89,24 +91,26 @@ const addrsPerRecord = 1 << 12
 // nothing in this append was acknowledged yet, and what replays is a
 // true prefix of the serviced writes.
 func (j *journal) appendAddrs(after uint64, addrs []uint64) error {
-	var buf bytes.Buffer
+	buf := j.buf[:0]
 	first := after - uint64(len(addrs))
 	for start := 0; start < len(addrs); start += addrsPerRecord {
 		end := min(start+addrsPerRecord, len(addrs))
-		buf.WriteByte('a')
-		buf.WriteByte(' ')
-		buf.WriteString(strconv.FormatUint(first+uint64(end), 10))
+		buf = append(buf, 'a', ' ')
+		buf = strconv.AppendUint(buf, first+uint64(end), 10)
 		for _, a := range addrs[start:end] {
-			buf.WriteByte(' ')
-			buf.WriteString(strconv.FormatUint(a, 10))
+			buf = append(buf, ' ')
+			buf = strconv.AppendUint(buf, a, 10)
 		}
-		buf.WriteByte('\n')
+		buf = append(buf, '\n')
 	}
-	return j.append(buf.Bytes())
+	if cap(buf) <= maxKeptBuf {
+		j.buf = buf
+	}
+	return j.append(buf)
 }
 
-func (j *journal) append(line []byte) error {
-	if _, err := j.f.Write(line); err != nil {
+func (j *journal) append(records []byte) error {
+	if _, err := j.f.Write(records); err != nil {
 		return err
 	}
 	if j.sync {
@@ -140,17 +144,24 @@ func readJournal(dir string) ([]journalRecord, error) {
 		}
 		return nil, err
 	}
-	if n := bytes.LastIndexByte(data, '\n'); n < 0 {
-		return nil, nil // only a torn fragment (or empty)
-	} else {
-		data = data[:n+1]
-	}
+	return parseJournal(data)
+}
+
+// parseJournal parses journal bytes; see readJournal.
+func parseJournal(data []byte) ([]journalRecord, error) {
 	var recs []journalRecord
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<26)
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" {
+	for {
+		n := bytes.IndexByte(data, '\n')
+		if n < 0 {
+			return recs, nil // the rest is a torn fragment (or empty)
+		}
+		line := data[:n]
+		data = data[n+1:]
+		// Lines are LF-terminated; a CR before the LF is tolerated.
+		if len(line) > 0 && line[len(line)-1] == '\r' {
+			line = line[:len(line)-1]
+		}
+		if len(line) == 0 {
 			continue
 		}
 		rec, err := parseRecord(line)
@@ -159,32 +170,37 @@ func readJournal(dir string) ([]journalRecord, error) {
 		}
 		recs = append(recs, rec)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return recs, nil
 }
 
-// parseRecord decodes one journal line.
-func parseRecord(line string) (journalRecord, error) {
-	fields := splitFields(line)
-	if len(fields) < 2 {
+// parseRecord decodes one journal line. Fields are separated by runs
+// of spaces.
+func parseRecord(line []byte) (journalRecord, error) {
+	kind, rest := nextField(line)
+	afterField, rest := nextField(rest)
+	if afterField == nil {
 		return journalRecord{}, fmt.Errorf("serve: malformed journal record %q", line)
 	}
-	after, err := strconv.ParseUint(fields[1], 10, 64)
+	// Journal fields are short enough that string(b) stays on the stack.
+	after, err := strconv.ParseUint(string(afterField), 10, 64)
 	if err != nil {
 		return journalRecord{}, fmt.Errorf("serve: malformed journal record %q: %v", line, err)
 	}
-	switch fields[0] {
+	switch string(kind) {
 	case "c":
-		if len(fields) != 2 {
+		if fld, _ := nextField(rest); fld != nil {
 			return journalRecord{}, fmt.Errorf("serve: malformed journal record %q", line)
 		}
 		return journalRecord{after: after}, nil
 	case "a":
-		addrs := make([]uint64, 0, len(fields)-2)
-		for _, fld := range fields[2:] {
-			a, err := strconv.ParseUint(fld, 10, 64)
+		// Each address takes at least two bytes (" 0"), which bounds
+		// the capacity by the line's length.
+		addrs := make([]uint64, 0, min(bytes.Count(rest, space), len(rest)/2))
+		for {
+			var fld []byte
+			if fld, rest = nextField(rest); fld == nil {
+				break
+			}
+			a, err := strconv.ParseUint(string(fld), 10, 64)
 			if err != nil {
 				return journalRecord{}, fmt.Errorf("serve: malformed journal record %q: %v", line, err)
 			}
@@ -192,22 +208,25 @@ func parseRecord(line string) (journalRecord, error) {
 		}
 		return journalRecord{after: after, addrs: addrs, isAddrs: true}, nil
 	}
-	return journalRecord{}, fmt.Errorf("serve: unknown journal record type %q", fields[0])
+	return journalRecord{}, fmt.Errorf("serve: unknown journal record type %q", kind)
 }
 
-// splitFields splits on single spaces (the journal's only separator).
-func splitFields(line string) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(line); i++ {
-		if i == len(line) || line[i] == ' ' {
-			if i > start {
-				out = append(out, line[start:i])
-			}
-			start = i + 1
-		}
+var space = []byte{' '}
+
+// nextField returns the first space-separated field of s (nil when
+// there is none) and what follows it.
+func nextField(s []byte) (field, rest []byte) {
+	for len(s) > 0 && s[0] == ' ' {
+		s = s[1:]
 	}
-	return out
+	if len(s) == 0 {
+		return nil, nil
+	}
+	n := bytes.IndexByte(s, ' ')
+	if n < 0 {
+		return s, nil
+	}
+	return s[:n], s[n:]
 }
 
 // writeFileDurable atomically replaces path with data: write to a

@@ -61,6 +61,11 @@ go test -run '^$' -bench . -benchtime 1x ./internal/pcm
 echo "== go test -run '^\$' -bench . -benchtime 1x ./internal/reviver"
 go test -run '^$' -bench . -benchtime 1x ./internal/reviver
 
+# And for the daemon's write-body decoder: BenchmarkWriteBodyDecode
+# must still decode its body.
+echo "== go test -run '^\$' -bench . -benchtime 1x ./internal/serve"
+go test -run '^$' -bench . -benchtime 1x ./internal/serve
+
 echo "== go test -race ./..."
 go test -race ./...
 
