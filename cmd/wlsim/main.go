@@ -4,8 +4,11 @@
 //
 // Example:
 //
-//	wlsim -blocks 65536 -endurance 10000 -leveler startgap -protector wlr \
+//	wlsim -blocks 65536 -endurance 10000 -leveler SG -protector WLR \
 //	      -workload mg -writes 50000000 -curve
+//
+// The -leveler, -protector and -ecc values are the schemes' display
+// names, the same ones wlserved's device spec takes.
 package main
 
 import (
@@ -34,12 +37,12 @@ func run() error {
 		endurance = flag.Float64("endurance", 1e4, "mean cell endurance in writes")
 		cov       = flag.Float64("lifetime-cov", 0.2, "cell lifetime CoV")
 		seed      = flag.Uint64("seed", 1, "RNG seed")
-		leveler   = flag.String("leveler", "startgap", "wear leveling: startgap, regioned, securityrefresh, none")
+		leveler   = flag.String("leveler", "SG", "wear leveling: SG, SR, SG-R, WFR, SW, none")
 		psi       = flag.Uint64("psi", 100, "writes per wear-leveling operation")
 		srInner   = flag.Uint64("sr-inner", 1, "security-refresh inner regions (power of two)")
-		protector = flag.String("protector", "wlr", "framework: wlr, freep, zombie, drm, lls, none")
+		protector = flag.String("protector", "WLR", "framework: WLR, FREE-p, LLS, none")
 		reserve   = flag.Float64("freep-reserve", 0.05, "FREE-p pre-reserved fraction")
-		eccName   = flag.String("ecc", "ecp6", "error correction: ecp6, ecp1, payg")
+		eccName   = flag.String("ecc", "ECP6", "error correction: ECP6, ECP1, PAYG")
 		cacheKB   = flag.Int("cache-kb", 0, "remap cache size in KB (0 = none)")
 		workload  = flag.String("workload", "uniform", "workload: uniform, one of the Table I names, cov:<x>, hammer:<a,b,..>, birthday:<set>x<burst>")
 		writes    = flag.Uint64("writes", 10_000_000, "write budget")
@@ -60,44 +63,15 @@ func run() error {
 	cfg.CacheKB = *cacheKB
 	cfg.LLSChunkPages = maxU64(1, *blocks/16 / *pageBlk)
 
-	switch *leveler {
-	case "startgap":
-		cfg.Leveler = wlreviver.LevelerStartGap
-	case "regioned":
-		cfg.Leveler = wlreviver.LevelerRegionedStartGap
-	case "securityrefresh":
-		cfg.Leveler = wlreviver.LevelerSecurityRefresh
-	case "none":
-		cfg.Leveler = wlreviver.LevelerNone
-	default:
-		return fmt.Errorf("unknown leveler %q", *leveler)
+	var err error
+	if cfg.Leveler, err = sim.ParseLevelerKind(*leveler); err != nil {
+		return err
 	}
-	switch *protector {
-	case "wlr":
-		cfg.Protector = wlreviver.ProtectorWLReviver
-	case "freep":
-		cfg.Protector = wlreviver.ProtectorFREEp
-	case "zombie":
-		cfg.Protector = wlreviver.ProtectorFREEp
-		cfg.FreepZombiePairing = true
-	case "drm":
-		cfg.Protector = wlreviver.ProtectorDRM
-	case "lls":
-		cfg.Protector = wlreviver.ProtectorLLS
-	case "none":
-		cfg.Protector = wlreviver.ProtectorNone
-	default:
-		return fmt.Errorf("unknown protector %q", *protector)
+	if cfg.Protector, err = sim.ParseProtectorKind(*protector); err != nil {
+		return err
 	}
-	switch *eccName {
-	case "ecp6":
-		cfg.ECC = wlreviver.ECCECP6
-	case "ecp1":
-		cfg.ECC = wlreviver.ECCECP1
-	case "payg":
-		cfg.ECC = wlreviver.ECCPAYG
-	default:
-		return fmt.Errorf("unknown ecc %q", *eccName)
+	if cfg.ECC, err = sim.ParseECCKind(*eccName); err != nil {
+		return err
 	}
 
 	gen, err := buildWorkload(*workload, cfg, *seed)

@@ -31,15 +31,6 @@ type Config struct {
 	ReserveFraction float64
 	// RemapCache, when non-nil, caches failed-block remap pointers.
 	RemapCache *cache.Cache
-	// ZombiePairing models the Zombie variant (Azevedo et al., ISCA'13):
-	// the failed block and its spare form a pair whose combined cells
-	// back an error-correction code, so the pair absorbs
-	// ZombiePairExtra additional cell failures before a fresh spare is
-	// needed. Zero disables pairing (plain FREE-p pointers).
-	ZombiePairing bool
-	// ZombiePairExtra is the pair's additional correction capacity
-	// (default 8 when ZombiePairing is set).
-	ZombiePairExtra int
 }
 
 // Stats counts the baseline's activity.
@@ -50,9 +41,6 @@ type Stats struct {
 	SlotsUsed       uint64
 	Exposed         bool
 	LostWrites      uint64
-	// PairRevivals counts writes served through a device-dead spare's
-	// pair code (Zombie mode).
-	PairRevivals uint64
 }
 
 // FREEp is the adapted FREE-p protector. The reserved slots occupy the
@@ -66,7 +54,6 @@ type FREEp struct {
 
 	slots    []uint64          // free slot DAs, allocated from the end
 	remap    map[uint64]uint64 // failed DA -> slot DA
-	pairBase map[uint64]int    // slot DA -> failed-cell count when paired
 	reserved uint64            // ckpt:derived recomputed from cfg in New
 	st       Stats
 }
@@ -94,16 +81,12 @@ func New(cfg Config, lv wear.Leveler, be *mc.Backend, os *osmodel.Model) (*FREEp
 		return nil, fmt.Errorf("freep: device has %d blocks, need %d (%d leveler + %d reserved)",
 			be.Dev.NumBlocks(), need, lv.NumDAs(), reserved)
 	}
-	if cfg.ZombiePairing && cfg.ZombiePairExtra == 0 {
-		cfg.ZombiePairExtra = 8
-	}
 	f := &FREEp{
 		cfg:      cfg,
 		lv:       lv,
 		be:       be,
 		os:       os,
 		remap:    make(map[uint64]uint64),
-		pairBase: make(map[uint64]int),
 		reserved: reserved,
 	}
 	f.slots = make([]uint64, 0, reserved)
@@ -115,14 +98,16 @@ func New(cfg Config, lv wear.Leveler, be *mc.Backend, os *osmodel.Model) (*FREEp
 
 // Name implements mc.Protector.
 func (f *FREEp) Name() string {
-	if f.cfg.ZombiePairing {
-		return fmt.Sprintf("Zombie(%.0f%%)", f.cfg.ReserveFraction*100)
-	}
 	return fmt.Sprintf("FREE-p(%.0f%%)", f.cfg.ReserveFraction*100)
 }
 
 // Stats returns a copy of the counters.
 func (f *FREEp) Stats() Stats { return f.st }
+
+// RequestCounts implements mc.Protector.
+func (f *FREEp) RequestCounts() (requests, accesses uint64) {
+	return f.st.SoftwareWrites + f.st.SoftwareReads, f.st.RequestAccesses
+}
 
 // FreeSlots returns the number of unallocated remap slots.
 func (f *FREEp) FreeSlots() int { return len(f.slots) }
@@ -130,19 +115,6 @@ func (f *FREEp) FreeSlots() int { return len(f.slots) }
 // Crippled implements mc.Crippler: once a failure is exposed to the
 // wear-leveling scheme it stops functioning.
 func (f *FREEp) Crippled() bool { return f.st.Exposed }
-
-// pairUsable reports whether a device-dead spare is still serviceable
-// through its pair code (Zombie mode only).
-func (f *FREEp) pairUsable(slot uint64) bool {
-	if !f.cfg.ZombiePairing {
-		return false
-	}
-	base, paired := f.pairBase[slot]
-	if !paired {
-		return false
-	}
-	return f.be.Dev.FailedCells(pcm.BlockID(slot))-base <= f.cfg.ZombiePairExtra
-}
 
 // takeSlot pops a free slot.
 func (f *FREEp) takeSlot() (uint64, bool) {
@@ -180,7 +152,6 @@ func (f *FREEp) effective(da uint64) (uint64, uint64) {
 // had to be exposed (no slots left).
 func (f *FREEp) writeTo(da, tag uint64) (uint64, bool) {
 	target, accesses := f.effective(da)
-	orig := da
 	for {
 		accesses++
 		if f.be.WriteRaw(target) {
@@ -189,34 +160,19 @@ func (f *FREEp) writeTo(da, tag uint64) (uint64, bool) {
 			}
 			return accesses, true
 		}
-		// The target failed. With Zombie pairing, the failed/spare pair's
-		// cells back a shared error-correction code: the pair stays
-		// serviceable until ZombiePairExtra cell failures beyond the
-		// pairing point accumulate in the spare.
-		if target != da && f.pairUsable(target) {
-			if f.be.Dev.TracksContent() {
-				f.be.Dev.SetContent(pcm.BlockID(target), tag)
-			}
-			f.be.Dev.Write(pcm.BlockID(orig)) // refresh the pair code
-			f.st.PairRevivals++
-			return accesses, true
-		}
-		// Rewrite the original block's pointer to a fresh slot (the dead
-		// slot is abandoned).
+		// The target failed: rewrite the original block's pointer to a
+		// fresh slot (the dead slot is abandoned).
 		slot, ok := f.takeSlot()
 		if !ok {
 			f.st.Exposed = true
 			f.st.LostWrites++
 			return accesses, false
 		}
-		f.remap[orig] = slot
-		if f.cfg.ZombiePairing {
-			f.pairBase[slot] = f.be.Dev.FailedCells(pcm.BlockID(slot))
-		}
+		f.remap[da] = slot
 		f.st.SlotsUsed++
-		f.be.Dev.Write(pcm.BlockID(orig)) // pointer write (7MR-coded)
+		f.be.Dev.Write(pcm.BlockID(da)) // pointer write (7MR-coded)
 		if f.cfg.RemapCache != nil {
-			f.cfg.RemapCache.Invalidate(orig)
+			f.cfg.RemapCache.Invalidate(da)
 		}
 		target = slot
 	}
@@ -244,7 +200,7 @@ func (f *FREEp) relocate(pa uint64) []osmodel.Relocation {
 	performed := relocs[:0]
 	for _, rc := range relocs {
 		src, _ := f.effective(f.lv.Map(rc.OldPA))
-		if f.be.Dead(src) && !f.pairUsable(src) {
+		if f.be.Dead(src) {
 			continue
 		}
 		f.be.ReadRaw(src)
@@ -263,7 +219,7 @@ func (f *FREEp) Read(pa uint64) (uint64, uint64) {
 	f.be.ReadRaw(target)
 	accesses++
 	f.st.RequestAccesses += accesses
-	if f.be.Dead(target) && !f.pairUsable(target) {
+	if f.be.Dead(target) {
 		return 0, accesses
 	}
 	return f.be.Dev.Content(pcm.BlockID(target)), accesses
@@ -278,7 +234,7 @@ func (f *FREEp) ResumePending() uint64 { return 0 }
 // works: reads and writes resolve through the stable DA pointers.
 func (f *FREEp) Migrate(src, dst uint64) {
 	esrc, _ := f.effective(src)
-	if f.be.Dead(esrc) && !f.pairUsable(esrc) {
+	if f.be.Dead(esrc) {
 		return // nothing recoverable to move
 	}
 	f.be.ReadRaw(esrc)
@@ -293,8 +249,8 @@ func (f *FREEp) Swap(a, b uint64) {
 	f.be.ReadRaw(ea)
 	f.be.ReadRaw(eb)
 	ta, tb := f.be.Dev.Content(pcm.BlockID(ea)), f.be.Dev.Content(pcm.BlockID(eb))
-	deadA := f.be.Dead(ea) && !f.pairUsable(ea)
-	deadB := f.be.Dead(eb) && !f.pairUsable(eb)
+	deadA := f.be.Dead(ea)
+	deadB := f.be.Dead(eb)
 	if !deadB {
 		f.writeTo(a, tb)
 	}

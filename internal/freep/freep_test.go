@@ -1,6 +1,7 @@
 package freep
 
 import (
+	"errors"
 	"testing"
 
 	"wlreviver/internal/ckpt"
@@ -225,114 +226,6 @@ func TestLargerReserveSurvivesLonger(t *testing.T) {
 	}
 }
 
-func newZombieStack(t *testing.T, blocks uint64, endurance float64, fraction float64) *stack {
-	t.Helper()
-	lv, err := wear.NewStartGap(wear.StartGapConfig{NumPAs: blocks, GapWritePeriod: 8, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reserved := ReservedSlots(blocks, fraction)
-	dev, err := pcm.NewDevice(pcm.Config{
-		NumBlocks: blocks + 1 + reserved, BlockBytes: 64, CellsPerBlock: 512,
-		MeanEndurance: endurance, LifetimeCoV: 0.2, Seed: 2, TrackContent: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, _ := ecc.NewECP(6, dev.NumBlocks())
-	osm, err := osmodel.New(blocks, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	be := &mc.Backend{Dev: dev, ECC: e}
-	fp, err := New(Config{ReserveFraction: fraction, ZombiePairing: true}, lv, be, osm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &stack{dev: dev, be: be, lv: lv, os: osm, fp: fp}
-}
-
-func TestZombieName(t *testing.T) {
-	s := newZombieStack(t, 64, 1e9, 0.05)
-	if s.fp.Name() != "Zombie(5%)" {
-		t.Errorf("name = %q", s.fp.Name())
-	}
-}
-
-// Zombie's pair coding keeps a worn spare serviceable, so under traffic
-// that hammers remapped blocks it consumes fewer slots than plain FREE-p
-// and survives at least as long.
-func TestZombiePairingSavesSlots(t *testing.T) {
-	run := func(zombie bool) (Stats, int) {
-		var s *stack
-		if zombie {
-			s = newZombieStack(t, 128, 150, 0.15)
-		} else {
-			s = newStack(t, 128, 150, 0.15)
-		}
-		// Hammer two addresses so their blocks — and then their spare
-		// slots — wear out repeatedly.
-		g, err := trace.NewHammer(128, []uint64{3, 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := 0
-		for i := 0; i < 2_000_000 && !s.fp.Crippled(); i++ {
-			pa, ok := s.os.Translate(g.Next())
-			if !ok {
-				break
-			}
-			s.fp.Write(pa, uint64(i))
-			if !s.fp.Crippled() {
-				s.lv.NoteWrite(pa, s.fp)
-			}
-			n++
-		}
-		return s.fp.Stats(), n
-	}
-	plainStats, plainWrites := run(false)
-	zombieStats, zombieWrites := run(true)
-	if zombieStats.PairRevivals == 0 {
-		t.Fatal("pair coding never engaged; the workload should wear spares out")
-	}
-	if zombieWrites < plainWrites {
-		t.Errorf("Zombie crippled after %d writes, plain FREE-p after %d; pairing should not hurt",
-			zombieWrites, plainWrites)
-	}
-	t.Logf("plain: %d writes, %d slots; zombie: %d writes, %d slots, %d revivals",
-		plainWrites, plainStats.SlotsUsed, zombieWrites, zombieStats.SlotsUsed, zombieStats.PairRevivals)
-}
-
-// Data behind a pair-revived spare stays readable.
-func TestZombiePairDataIntegrity(t *testing.T) {
-	s := newZombieStack(t, 64, 300, 0.15)
-	g, _ := trace.NewUniform(64, 33)
-	last := make(map[uint64]uint64)
-	for i := 0; i < 400_000 && !s.fp.Crippled(); i++ {
-		pa, ok := s.os.Translate(g.Next())
-		if !ok {
-			break
-		}
-		res := s.fp.Write(pa, uint64(i))
-		if res.Retry {
-			break
-		}
-		last[pa] = uint64(i)
-		s.lv.NoteWrite(pa, s.fp)
-		if i%20_000 == 0 {
-			for p, want := range last {
-				if s.os.Retired(p) {
-					delete(last, p)
-					continue
-				}
-				if got, _ := s.fp.Read(p); got != want {
-					t.Fatalf("PA %d reads %d, want %d", p, got, want)
-				}
-			}
-		}
-	}
-}
-
 // TestRemapKeysAreDead pins the invariant effective's fast path rests
 // on: only a block the backend has declared dead carries a FREE-p
 // pointer, so a healthy block may skip the remap table. It must hold
@@ -375,4 +268,61 @@ func TestRemapKeysAreDead(t *testing.T) {
 		t.Fatalf("LoadState restored %d remaps, want %d", len(fresh.remap), len(s.fp.remap))
 	}
 	check(fresh, "after LoadState")
+}
+
+// TestLoadStateRejectsRetiredPairState: the pair-coding table length and
+// pair-revival count stay in the image as always-zero slots, so
+// checkpoints keep their bytes; an image with either slot non-zero was
+// written by a pair-coding variant this package no longer has, and
+// LoadState must refuse it rather than drop that state.
+func TestLoadStateRejectsRetiredPairState(t *testing.T) {
+	s := newStack(t, 64, 1e9, 0.10)
+	image := func(pairs uint32, revivals uint64) []byte {
+		e := ckpt.NewEncoder()
+		e.Begin("freep")
+		e.U64s(s.fp.slots)
+		e.MapU64(s.fp.remap)
+		e.U32(pairs)
+		if pairs > 0 {
+			e.U64(s.fp.slots[0]) // the pair's slot and its failed-cell baseline
+			e.I64(0)
+		}
+		for i := 0; i < 4; i++ {
+			e.U64(0) // writes, reads, request accesses, slots used
+		}
+		e.Bool(false)
+		e.U64(0) // lost writes
+		e.U64(revivals)
+		e.End()
+		return e.Finish()
+	}
+	for _, tc := range []struct {
+		name     string
+		pairs    uint32
+		revivals uint64
+		ok       bool
+	}{
+		{"zero slots", 0, 0, true},
+		{"pair entry", 1, 0, false},
+		{"pair revivals", 0, 3, false},
+	} {
+		d, err := ckpt.NewDecoder(image(tc.pairs, tc.revivals))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Section("freep"); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := New(Config{ReserveFraction: 0.10}, s.lv, s.be, s.os)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = fresh.LoadState(d)
+		if tc.ok && err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		if !tc.ok && !errors.Is(err, ckpt.ErrBadCheckpoint) {
+			t.Errorf("%s: LoadState = %v, want ErrBadCheckpoint", tc.name, err)
+		}
+	}
 }

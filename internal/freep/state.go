@@ -7,22 +7,18 @@ import (
 )
 
 // SaveState serializes the protector's mutable state: the free-slot
-// pool, failed-block remaps, Zombie pair baselines and counters.
+// pool, failed-block remaps and counters.
 func (f *FREEp) SaveState(e *ckpt.Encoder) {
 	e.U64s(f.slots)
 	e.MapU64(f.remap)
-	e.U32(uint32(len(f.pairBase)))
-	for _, slot := range ckpt.KeysU64(f.pairBase) {
-		e.U64(slot)
-		e.I64(int64(f.pairBase[slot]))
-	}
+	e.U32(0) // retired pair-coding table, always empty
 	e.U64(f.st.SoftwareWrites)
 	e.U64(f.st.SoftwareReads)
 	e.U64(f.st.RequestAccesses)
 	e.U64(f.st.SlotsUsed)
 	e.Bool(f.st.Exposed)
 	e.U64(f.st.LostWrites)
-	e.U64(f.st.PairRevivals)
+	e.U64(0) // retired pair-revival count, always 0
 }
 
 // LoadState restores state written by SaveState into a protector built
@@ -30,26 +26,8 @@ func (f *FREEp) SaveState(e *ckpt.Encoder) {
 func (f *FREEp) LoadState(dec *ckpt.Decoder) error {
 	slots := dec.U64s()
 	remap := dec.MapU64()
-	nPairs := int(dec.U32())
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if nPairs*16 > 1<<30 {
-		return fmt.Errorf("freep: checkpoint pair count %d implausible", nPairs)
-	}
-	pairBase := make(map[uint64]int, nPairs)
-	var prev uint64
-	for i := 0; i < nPairs; i++ {
-		slot := dec.U64()
-		base := dec.I64()
-		if dec.Err() != nil {
-			return dec.Err()
-		}
-		if i > 0 && slot <= prev {
-			return fmt.Errorf("freep: checkpoint pair keys out of order")
-		}
-		prev = slot
-		pairBase[slot] = int(base)
+	if n := dec.U32(); n != 0 {
+		return fmt.Errorf("freep: checkpoint holds %d retired pair-coding entries: %w", n, ckpt.ErrBadCheckpoint)
 	}
 	var st Stats
 	st.SoftwareWrites = dec.U64()
@@ -58,13 +36,14 @@ func (f *FREEp) LoadState(dec *ckpt.Decoder) error {
 	st.SlotsUsed = dec.U64()
 	st.Exposed = dec.Bool()
 	st.LostWrites = dec.U64()
-	st.PairRevivals = dec.U64()
+	if n := dec.U64(); n != 0 {
+		return fmt.Errorf("freep: checkpoint holds %d retired pair revivals: %w", n, ckpt.ErrBadCheckpoint)
+	}
 	if err := dec.Err(); err != nil {
 		return err
 	}
 	f.slots = slots
 	f.remap = remap
-	f.pairBase = pairBase
 	f.st = st
 	return nil
 }

@@ -174,6 +174,11 @@ func (l *LLS) Name() string { return "LLS" }
 // Stats returns a copy of the counters.
 func (l *LLS) Stats() Stats { return l.st }
 
+// RequestCounts implements mc.Protector.
+func (l *LLS) RequestCounts() (requests, accesses uint64) {
+	return l.st.SoftwareWrites + l.st.SoftwareReads, l.st.RequestAccesses
+}
+
 // Crippled implements mc.Crippler.
 func (l *LLS) Crippled() bool { return l.st.Exposed }
 

@@ -111,6 +111,10 @@ type Protector interface {
 	// suspended awaiting spare-space acquisition, returning the raw
 	// accesses used. Callers invoke it after every write.
 	ResumePending() uint64
+	// RequestCounts returns the cumulative software requests (writes
+	// plus reads) and the raw PCM accesses they consumed, the numerator
+	// and denominator of Table II's access-time metric.
+	RequestCounts() (requests, accesses uint64)
 }
 
 // SpaceReporter is implemented by protectors that can report how much of

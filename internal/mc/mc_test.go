@@ -88,8 +88,8 @@ func TestPassthroughHealthyPath(t *testing.T) {
 	if p.ResumePending() != 0 {
 		t.Error("nothing pends")
 	}
-	if got := p.RequestAccessRatio(); got != 1 {
-		t.Errorf("access ratio = %v, want 1", got)
+	if req, acc := p.RequestCounts(); req != 2 || acc != 2 {
+		t.Errorf("request counts = (%d,%d), want (2,2)", req, acc)
 	}
 	if got := p.SoftwareUsableFraction(); got != 1 {
 		t.Errorf("usable = %v, want 1", got)

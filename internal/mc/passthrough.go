@@ -157,17 +157,9 @@ func (p *Passthrough) SoftwareUsableFraction() float64 {
 	return p.os.UsableFraction()
 }
 
-// RequestCounts returns cumulative (software requests, raw accesses).
+// RequestCounts implements Protector.
 func (p *Passthrough) RequestCounts() (requests, accesses uint64) {
 	return p.requests, p.reqAccesses
-}
-
-// RequestAccessRatio returns raw accesses per software request.
-func (p *Passthrough) RequestAccessRatio() float64 {
-	if p.requests == 0 {
-		return 0
-	}
-	return float64(p.reqAccesses) / float64(p.requests)
 }
 
 var (

@@ -229,6 +229,11 @@ func (r *Reviver) Name() string { return "WL-Reviver" }
 // Stats returns a copy of the activity counters.
 func (r *Reviver) Stats() Stats { return r.st }
 
+// RequestCounts implements mc.Protector.
+func (r *Reviver) RequestCounts() (requests, accesses uint64) {
+	return r.st.SoftwareWrites + r.st.SoftwareReads, r.st.RequestAccesses
+}
+
 // AvailableSpares returns the number of unlinked reserved PAs.
 func (r *Reviver) AvailableSpares() int { return r.spares }
 
@@ -311,7 +316,7 @@ func onWalk(path []chainLink, cur, da uint64) bool {
 
 // link records da's virtual shadow: the PA pointer is written into the
 // failed block itself (readable thanks to strong in-block coding, as in
-// FREE-p/Zombie), and the inverse pointer is written into the block
+// FREE-p), and the inverse pointer is written into the block
 // mapped by the PA's pointer-section slot. idx must have come from
 // takePA (off the free list).
 func (r *Reviver) link(da uint64, idx uint32) {

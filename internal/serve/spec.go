@@ -32,9 +32,9 @@ type DeviceSpec struct {
 	Seed          uint64  `json:"seed,omitempty"`
 
 	// Component selectors by display name: Leveler "SG"/"SR"/"SG-R"/
-	// "none", Protector "WLR"/"FREE-p"/"LLS"/"DRM"/"none", ECC "ECP6"/
-	// "ECP1"/"PAYG". Empty selects the defaults (SG, WLR, ECP6) or the
-	// Stack's choices when Stack is set.
+	// "WFR"/"SW"/"none", Protector "WLR"/"FREE-p"/"LLS"/"none", ECC
+	// "ECP6"/"ECP1"/"PAYG". Empty selects the defaults (SG, WLR, ECP6)
+	// or the Stack's choices when Stack is set.
 	Leveler   string `json:"leveler,omitempty"`
 	Protector string `json:"protector,omitempty"`
 	ECC       string `json:"ecc,omitempty"`

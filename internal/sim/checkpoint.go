@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"wlreviver/internal/ckpt"
+	"wlreviver/internal/wear"
 )
 
 // ErrCrashed is returned by checkpoint-aware runners when an injected
@@ -108,7 +109,7 @@ func (e *Engine) encodeState(enc *ckpt.Encoder) error {
 
 	// The Static leveler is stateless; its section is intentionally empty.
 	enc.Begin("leveler")
-	if !e.noteSkip {
+	if _, static := e.lv.(wear.Static); !static {
 		ls, ok := e.lv.(ckptSaver)
 		if !ok {
 			return fmt.Errorf("sim: leveler %q does not support checkpointing", e.lv.Name())
@@ -217,7 +218,7 @@ func (e *Engine) decodeState(d *ckpt.Decoder) error {
 	if err := d.Section("leveler"); err != nil {
 		return err
 	}
-	if !e.noteSkip {
+	if _, static := e.lv.(wear.Static); !static {
 		ll, ok := e.lv.(ckptLoader)
 		if !ok {
 			return fmt.Errorf("sim: leveler %q does not support checkpointing", e.lv.Name())
@@ -297,7 +298,7 @@ func (e *Engine) encodeConfig(enc *ckpt.Encoder) {
 	enc.String(custom)
 	enc.I64(int64(c.Protector))
 	enc.F64(c.FreepReserveFraction)
-	enc.Bool(c.FreepZombiePairing)
+	enc.Bool(false) // retired FREE-p pair-coding slot, always false
 	enc.U64(c.LLSChunkPages)
 	enc.U64(c.LLSSalvageGroups)
 	enc.F64(c.LLSBackupFraction)
@@ -342,7 +343,7 @@ func (e *Engine) decodeConfig(d *ckpt.Decoder) error {
 		{"CustomLeveler", d.String() == custom},
 		{"Protector", d.I64() == int64(c.Protector)},
 		{"FreepReserveFraction", d.F64() == c.FreepReserveFraction},
-		{"FreepZombiePairing", d.Bool() == c.FreepZombiePairing},
+		{"FreepZombiePairing", !d.Bool()}, // retired pair-coding slot
 		{"LLSChunkPages", d.U64() == c.LLSChunkPages},
 		{"LLSSalvageGroups", d.U64() == c.LLSSalvageGroups},
 		{"LLSBackupFraction", d.F64() == c.LLSBackupFraction},

@@ -1,22 +1,27 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
+	"wlreviver/internal/freep"
 	"wlreviver/internal/obs"
 	"wlreviver/internal/trace"
 )
 
 // ckptRole is one engine configuration exercised by the checkpoint
-// differential harness. Together the roles cover every stateful layer:
-// each protector, each leveler, both ECC families, the remap cache,
-// content tracking and the attack workloads.
+// differential harness. Together the 15 roles cover every stateful
+// layer: each protector, each leveler, both ECC families, the remap
+// cache, content tracking and the attack workloads.
 type ckptRole struct {
 	name   string
 	mutate func(*Config)
@@ -52,10 +57,6 @@ func ckptRoles() []ckptRole {
 			c.FreepReserveFraction = 0.10
 			c.ECC = ECCECP1
 		}, ocean},
-		{"sg-freep-zombie", func(c *Config) {
-			c.Protector = ProtectorFREEp
-			c.FreepZombiePairing = true
-		}, ocean},
 		{"sg-lls", func(c *Config) { c.Protector = ProtectorLLS }, benchGen("mg")},
 		{"wfr-wlr", func(c *Config) {
 			c.Leveler = LevelerWoLFRaM
@@ -72,7 +73,6 @@ func ckptRoles() []ckptRole {
 			c.SWEpochWrites = 64
 			c.Protector = ProtectorLLS
 		}, benchGen("mg")},
-		{"sg-drm", func(c *Config) { c.Protector = ProtectorDRM }, ocean},
 		{"sg-wlr-hammer", func(c *Config) {}, func(cfg Config) (trace.Generator, error) {
 			return trace.NewHammer(cfg.Blocks, []uint64{3, 41, 97})
 		}},
@@ -192,7 +192,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 }
 
 // TestRestoreRejectsMismatchedConfig ensures a checkpoint cannot be
-// restored into a differently configured system.
+// restored into a differently configured system, and that an image
+// whose retired FREE-p pair-coding fingerprint slot is set is refused.
 func TestRestoreRejectsMismatchedConfig(t *testing.T) {
 	r := ckptRoles()[2] // sg-wlr
 	e := buildRole(t, r)
@@ -203,15 +204,20 @@ func TestRestoreRejectsMismatchedConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mutate := range []func(*Config){
-		func(c *Config) { c.Seed++ },
-		func(c *Config) { c.GapWritePeriod++ },
-		func(c *Config) { c.Protector = ProtectorFREEp },
-		func(c *Config) { c.ECC = ECCPAYG },
-		func(c *Config) { c.MeanEndurance *= 2 },
+	for _, tc := range []struct {
+		field  string
+		mutate func(*Config)
+		img    []byte
+	}{
+		{"Seed", func(c *Config) { c.Seed++ }, img},
+		{"GapWritePeriod", func(c *Config) { c.GapWritePeriod++ }, img},
+		{"Protector", func(c *Config) { c.Protector = ProtectorFREEp }, img},
+		{"ECC", func(c *Config) { c.ECC = ECCPAYG }, img},
+		{"MeanEndurance", func(c *Config) { c.MeanEndurance *= 2 }, img},
+		{"FreepZombiePairing", func(*Config) {}, retiredSlotSet(t, img)},
 	} {
 		cfg := ckptTestConfig()
-		mutate(&cfg)
+		tc.mutate(&cfg)
 		gen, err := benchGen("ocean")(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -220,9 +226,72 @@ func TestRestoreRejectsMismatchedConfig(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := other.RestoreCheckpoint(img); err == nil {
-			t.Fatal("restore into mismatched config succeeded")
+		err = other.RestoreCheckpoint(tc.img)
+		if !errors.Is(err, ErrConfigMismatch) || !strings.Contains(err.Error(), "("+tc.field+" differs)") {
+			t.Errorf("%s: restore = %v, want a %s mismatch", tc.field, err, tc.field)
 		}
+	}
+}
+
+// retiredSlotSet returns img with the config fingerprint's retired
+// FREE-p pair-coding slot set to true and the section CRC refreshed.
+func retiredSlotSet(t *testing.T, img []byte) []byte {
+	t.Helper()
+	const (
+		// File header, then the config section's name and length frame.
+		payload = 4 + 4 + 2 + len("config") + 8
+		// Twelve 8-byte fields, the empty CustomLeveler name, Protector
+		// and FreepReserveFraction precede the slot.
+		slot = payload + 12*8 + 4 + 2*8
+	)
+	out := bytes.Clone(img)
+	end := payload + int(binary.LittleEndian.Uint64(out[payload-8:]))
+	if out[slot] != 0 {
+		t.Fatalf("retired slot holds %d, want 0", out[slot])
+	}
+	out[slot] = 1
+	binary.LittleEndian.PutUint32(out[end:], crc32.ChecksumIEEE(out[payload:end]))
+	return out
+}
+
+// TestFreepCheckpointFixture pins the checkpoint format across the
+// removal of FREE-p's pair-coding variant. testdata/freep10.ckpt was
+// written before that removal by a FREE-p(10%) engine run past its
+// first slot allocations. It must restore and re-emit identical bytes,
+// and a fresh engine run to the same write count must produce them too.
+func TestFreepCheckpointFixture(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "freep10.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func() *Engine {
+		cfg := ckptTestConfig()
+		cfg.Protector = ProtectorFREEp
+		cfg.FreepReserveFraction = 0.10
+		gen, err := benchGen("ocean")(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := NewEngine(cfg, gen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	restored := build()
+	if err := restored.RestoreCheckpoint(want); err != nil {
+		t.Fatal(err)
+	}
+	fp := restored.Protector().(*freep.FREEp)
+	if fp.Stats().SlotsUsed == 0 {
+		t.Fatal("fixture has an empty remap table")
+	}
+	if got, err := restored.Checkpoint(); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("restored engine re-emits a different image (err %v)", err)
+	}
+	fresh := build()
+	if got := finalImage(t, fresh, restored.Writes()); !bytes.Equal(got, want) {
+		t.Fatalf("fresh run to %d writes diverges from the fixture", restored.Writes())
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"wlreviver/internal/cache"
-	"wlreviver/internal/drm"
 	"wlreviver/internal/ecc"
 	"wlreviver/internal/freep"
 	"wlreviver/internal/lls"
@@ -23,106 +22,6 @@ import (
 	"wlreviver/internal/trace"
 	"wlreviver/internal/wear"
 )
-
-// LevelerKind selects the wear-leveling scheme.
-type LevelerKind int
-
-// Wear-leveling schemes.
-const (
-	// LevelerNone disables wear leveling (Figure 6's "ECP6"/"PAYG"
-	// baselines).
-	LevelerNone LevelerKind = iota
-	// LevelerStartGap is Start-Gap with Feistel address randomization.
-	LevelerStartGap
-	// LevelerSecurityRefresh is single- or two-level Security Refresh.
-	LevelerSecurityRefresh
-	// LevelerRegionedStartGap is the original paper's multi-region
-	// Start-Gap organisation (independent start/gap per region).
-	LevelerRegionedStartGap
-	// LevelerWoLFRaM is WoLFRaM-style programmable-address-decoder
-	// remapping (arXiv:2010.02825).
-	LevelerWoLFRaM
-	// LevelerSoftWear is SoftWear-style software-only page-granularity
-	// leveling through the OS page table (arXiv:2004.03244).
-	LevelerSoftWear
-)
-
-// String returns the scheme's display name.
-func (k LevelerKind) String() string {
-	switch k {
-	case LevelerStartGap:
-		return "SG"
-	case LevelerSecurityRefresh:
-		return "SR"
-	case LevelerRegionedStartGap:
-		return "SG-R"
-	case LevelerWoLFRaM:
-		return "WFR"
-	case LevelerSoftWear:
-		return "SW"
-	default:
-		return "none"
-	}
-}
-
-// ProtectorKind selects the failure-protection framework.
-type ProtectorKind int
-
-// Failure-protection frameworks.
-const (
-	// ProtectorNone exposes the first failure to the leveler.
-	ProtectorNone ProtectorKind = iota
-	// ProtectorWLReviver is the paper's framework.
-	ProtectorWLReviver
-	// ProtectorFREEp is the adapted FREE-p baseline (§IV-C).
-	ProtectorFREEp
-	// ProtectorLLS is the LLS baseline (§IV-D).
-	ProtectorLLS
-	// ProtectorDRM is the adapted Dynamically Replicated Memory baseline
-	// (page pairing; related work [11]).
-	ProtectorDRM
-)
-
-// String returns the framework's display name.
-func (k ProtectorKind) String() string {
-	switch k {
-	case ProtectorWLReviver:
-		return "WLR"
-	case ProtectorFREEp:
-		return "FREE-p"
-	case ProtectorLLS:
-		return "LLS"
-	case ProtectorDRM:
-		return "DRM"
-	default:
-		return "none"
-	}
-}
-
-// ECCKind selects the error-correction scheme.
-type ECCKind int
-
-// Error-correction schemes.
-const (
-	// ECCECP6 corrects up to 6 failed cells per 512-bit group.
-	ECCECP6 ECCKind = iota
-	// ECCECP1 corrects 1.
-	ECCECP1
-	// ECCPAYG is Pay-As-You-Go with the paper's default budget.
-	ECCPAYG
-)
-
-// String returns the scheme's display name.
-func (k ECCKind) String() string {
-	switch k {
-	case ECCECP1:
-		return "ECP1"
-	case ECCPAYG:
-		return "PAYG"
-	default:
-		return "ECP6"
-	}
-}
 
 // Config assembles one simulated system.
 type Config struct {
@@ -164,10 +63,6 @@ type Config struct {
 	Protector ProtectorKind
 	// FreepReserveFraction is FREE-p's pre-reserved share (0–0.15).
 	FreepReserveFraction float64
-	// FreepZombiePairing selects the Zombie variant of the adapted
-	// page-recovery baseline (pair coding between failed and spare
-	// blocks).
-	FreepZombiePairing bool
 	// LLSChunkPages and LLSSalvageGroups parameterise LLS; the backup
 	// region is sized at LLSBackupFraction of capacity (default 0.5).
 	LLSChunkPages     uint64
@@ -242,15 +137,11 @@ type Engine struct {
 	// rev is non-nil when the protector is WL-Reviver: Write and
 	// ResumePending become direct calls. Every other protector's
 	// ResumePending is a constant 0 (nothing to resume), so the call is
-	// elided entirely. The leveler's NoteWrite dispatches through one
-	// concrete field; noteSkip marks the Static leveler's no-op.
-	rev      *reviver.Reviver
-	sgLv     *wear.StartGap
-	srLv     *wear.SecurityRefresh
-	rsgLv    *wear.RegionedStartGap
-	wfrLv    *wear.WoLFRaM
-	swLv     *wear.SoftWear
-	noteSkip bool
+	// elided entirely. sg is non-nil when the leveler is Start-Gap, the
+	// only leveler whose NoteWrite inlines; every other leveler's
+	// NoteWrite goes through the interface.
+	rev *reviver.Reviver
+	sg  *wear.StartGap
 
 	// Batched address generation: when gen has a NextBatch fast path,
 	// addresses are pulled through addrBuf in chunks, replacing one
@@ -410,8 +301,6 @@ func newEngine(cfg Config, gen trace.Generator) (*Engine, error) {
 	switch cfg.Protector {
 	case ProtectorFREEp:
 		extra = freep.ReservedSlots(cfg.Blocks, cfg.FreepReserveFraction)
-	case ProtectorDRM:
-		extra = drm.ReservedBlocks(cfg.Blocks, cfg.FreepReserveFraction, cfg.BlocksPerPage)
 	case ProtectorLLS:
 		backupFrac := cfg.LLSBackupFraction
 		if backupFrac == 0 {
@@ -472,18 +361,12 @@ func newEngine(cfg Config, gen trace.Generator) (*Engine, error) {
 		prot, err = freep.New(freep.Config{
 			ReserveFraction: cfg.FreepReserveFraction,
 			RemapCache:      remapCache,
-			ZombiePairing:   cfg.FreepZombiePairing,
 		}, lv, be, osm)
 	case ProtectorLLS:
 		prot, err = lls.New(lls.Config{
 			ChunkPages:    cfg.LLSChunkPages,
 			SalvageGroups: cfg.LLSSalvageGroups,
 			RemapCache:    remapCache,
-		}, lv, be, osm)
-	case ProtectorDRM:
-		prot, err = drm.New(drm.Config{
-			ReserveFraction: cfg.FreepReserveFraction,
-			RemapCache:      remapCache,
 		}, lv, be, osm)
 	default:
 		err = fmt.Errorf("sim: unknown protector %d: %w", cfg.Protector, ErrBadConfig)
@@ -498,20 +381,7 @@ func newEngine(cfg Config, gen trace.Generator) (*Engine, error) {
 	e.llsStack = cfg.Protector == ProtectorLLS
 	e.maxRetry = int(osm.NumPages()) + 2
 	e.rev, _ = prot.(*reviver.Reviver)
-	switch l := lv.(type) {
-	case *wear.StartGap:
-		e.sgLv = l
-	case *wear.SecurityRefresh:
-		e.srLv = l
-	case *wear.RegionedStartGap:
-		e.rsgLv = l
-	case *wear.WoLFRaM:
-		e.wfrLv = l
-	case *wear.SoftWear:
-		e.swLv = l
-	case wear.Static:
-		e.noteSkip = true
-	}
+	e.sg, _ = lv.(*wear.StartGap)
 	if bg, ok := gen.(trace.BatchGenerator); ok {
 		e.batchGen = bg
 		e.addrBuf = make([]uint64, 0, addrBatch)
@@ -574,23 +444,31 @@ func (e *Engine) emitSnapshot() {
 		s.LiveRemaps = e.rev.LinkedFailures()
 		s.SparePAs = e.rev.AvailableSpares()
 	}
-	switch {
-	case e.sgLv != nil:
-		s.LevelerOps = e.sgLv.GapMoves()
-	case e.srLv != nil:
-		s.LevelerOps = e.srLv.OuterSwaps()
-	case e.rsgLv != nil:
-		s.LevelerOps = e.rsgLv.GapMoves()
-	case e.wfrLv != nil:
-		s.LevelerOps = e.wfrLv.Swaps()
-	case e.swLv != nil:
-		s.LevelerOps = e.swLv.Relocations()
-	}
+	s.LevelerOps = levelerOps(e.lv)
 	if e.remapCache != nil {
 		s.CacheHits = e.remapCache.Hits()
 		s.CacheMisses = e.remapCache.Misses()
 	}
 	e.observer.Snapshot(s)
+}
+
+// levelerOps returns the leveler's cumulative remapping operations (the
+// snapshot's LevelerOps): gap moves, outer-round swaps, decoder swaps or
+// page relocations. Static and custom levelers report 0.
+func levelerOps(lv wear.Leveler) uint64 {
+	switch l := lv.(type) {
+	case *wear.StartGap:
+		return l.GapMoves()
+	case *wear.SecurityRefresh:
+		return l.OuterSwaps()
+	case *wear.RegionedStartGap:
+		return l.GapMoves()
+	case *wear.WoLFRaM:
+		return l.Swaps()
+	case *wear.SoftWear:
+		return l.Relocations()
+	}
+	return 0
 }
 
 // nextAddr returns the next workload address, refilling the prefetch
@@ -734,10 +612,10 @@ func (e *Engine) DeadFraction() float64 {
 	return float64(e.dev.DeadBlocks()) / float64(e.dev.NumBlocks())
 }
 
-// RequestCounts returns cumulative (software requests, raw PCM accesses)
-// where the protector tracks them, else zeros.
+// RequestCounts returns the protector's cumulative (software requests,
+// raw PCM accesses).
 func (e *Engine) RequestCounts() (requests, accesses uint64) {
-	return requestCounts(e.prot)
+	return e.prot.RequestCounts()
 }
 
 // Crippled reports whether wear leveling has ceased to function.
@@ -766,34 +644,14 @@ func (e *Engine) Reviver() (*reviver.Reviver, bool) {
 	return r, ok
 }
 
-// AccessRatio returns raw PCM accesses per software request where the
-// protector tracks it (Table II's access-time metric), else 0.
+// AccessRatio returns raw PCM accesses per software request (Table II's
+// access-time metric), or 0 before the first request.
 func (e *Engine) AccessRatio() float64 {
-	switch p := e.prot.(type) {
-	case *reviver.Reviver:
-		st := p.Stats()
-		if n := st.SoftwareWrites + st.SoftwareReads; n > 0 {
-			return float64(st.RequestAccesses) / float64(n)
-		}
-	case *lls.LLS:
-		st := p.Stats()
-		if n := st.SoftwareWrites + st.SoftwareReads; n > 0 {
-			return float64(st.RequestAccesses) / float64(n)
-		}
-	case *freep.FREEp:
-		st := p.Stats()
-		if n := st.SoftwareWrites + st.SoftwareReads; n > 0 {
-			return float64(st.RequestAccesses) / float64(n)
-		}
-	case *drm.DRM:
-		st := p.Stats()
-		if n := st.SoftwareWrites + st.SoftwareReads; n > 0 {
-			return float64(st.RequestAccesses) / float64(n)
-		}
-	case *mc.Passthrough:
-		return p.RequestAccessRatio()
+	req, acc := e.prot.RequestCounts()
+	if req == 0 {
+		return 0
 	}
-	return 0
+	return float64(acc) / float64(req)
 }
 
 // Read services one software read of a virtual block, returning the
@@ -825,9 +683,9 @@ func (e *Engine) WriteTagged(vblock, tag uint64) bool {
 }
 
 // writeTagged is the write path with the stopped check hoisted into the
-// callers' loops. Protector and leveler calls go through the concrete
-// views resolved at construction, so the steady state carries no dynamic
-// dispatch.
+// callers' loops. WL-Reviver and Start-Gap are called through the
+// concrete views resolved at construction; other layers go through their
+// interfaces.
 func (e *Engine) writeTagged(vblock, tag uint64) bool {
 	var pa uint64
 	for attempt := 0; ; attempt++ {
@@ -858,20 +716,9 @@ func (e *Engine) writeTagged(vblock, tag uint64) bool {
 		e.rev.ResumePending()
 	}
 	if e.crip == nil || !e.crip.Crippled() {
-		switch {
-		case e.sgLv != nil:
-			e.sgLv.NoteWrite(pa, e.prot)
-		case e.srLv != nil:
-			e.srLv.NoteWrite(pa, e.prot)
-		case e.rsgLv != nil:
-			e.rsgLv.NoteWrite(pa, e.prot)
-		case e.wfrLv != nil:
-			e.wfrLv.NoteWrite(pa, e.prot)
-		case e.swLv != nil:
-			e.swLv.NoteWrite(pa, e.prot)
-		case e.noteSkip:
-			// Static leveler: NoteWrite is a no-op.
-		default:
+		if e.sg != nil {
+			e.sg.NoteWrite(pa, e.prot)
+		} else {
 			e.lv.NoteWrite(pa, e.prot)
 		}
 	} else if e.llsStack {

@@ -5,12 +5,7 @@ import (
 	"strings"
 
 	"wlreviver/internal/ckpt"
-	"wlreviver/internal/drm"
-	"wlreviver/internal/freep"
-	"wlreviver/internal/lls"
-	"wlreviver/internal/mc"
 	"wlreviver/internal/obs"
-	"wlreviver/internal/reviver"
 	"wlreviver/internal/stats"
 	"wlreviver/internal/trace"
 )
@@ -677,27 +672,6 @@ type Table2Result struct {
 
 // TotalWrites reports the experiment's simulated write volume.
 func (r *Table2Result) TotalWrites() uint64 { return r.SimWrites }
-
-// requestCounts pulls cumulative (requests, accesses) from a protector.
-func requestCounts(p mc.Protector) (uint64, uint64) {
-	switch t := p.(type) {
-	case *reviver.Reviver:
-		st := t.Stats()
-		return st.SoftwareWrites + st.SoftwareReads, st.RequestAccesses
-	case *lls.LLS:
-		st := t.Stats()
-		return st.SoftwareWrites + st.SoftwareReads, st.RequestAccesses
-	case *freep.FREEp:
-		st := t.Stats()
-		return st.SoftwareWrites + st.SoftwareReads, st.RequestAccesses
-	case *drm.DRM:
-		st := t.Stats()
-		return st.SoftwareWrites + st.SoftwareReads, st.RequestAccesses
-	case *mc.Passthrough:
-		return t.RequestCounts()
-	}
-	return 0, 0
-}
 
 // table2Harness is the table2Run driver-state stored alongside the
 // engine in each checkpoint: cells produced so far, the access-time

@@ -170,20 +170,7 @@ func TestLevelerKindsSurviveFailures(t *testing.T) {
 			if u := e.UsableFraction(); u <= 0 || u > 1 {
 				t.Fatalf("usable fraction %v out of range after failures", u)
 			}
-			var ops uint64
-			switch {
-			case e.sgLv != nil:
-				ops = e.sgLv.GapMoves()
-			case e.srLv != nil:
-				ops = e.srLv.OuterSwaps()
-			case e.rsgLv != nil:
-				ops = e.rsgLv.GapMoves()
-			case e.wfrLv != nil:
-				ops = e.wfrLv.Swaps()
-			case e.swLv != nil:
-				ops = e.swLv.Relocations()
-			}
-			if ops == 0 {
+			if levelerOps(e.lv) == 0 {
 				t.Fatalf("%s performed zero leveling operations over %d writes", kind, e.Writes())
 			}
 		})

@@ -456,18 +456,7 @@ func (se *ShardedEngine) snapshotSample() obs.Snapshot {
 			s.LiveRemaps += e.rev.LinkedFailures()
 			s.SparePAs += e.rev.AvailableSpares()
 		}
-		switch {
-		case e.sgLv != nil:
-			s.LevelerOps += e.sgLv.GapMoves()
-		case e.srLv != nil:
-			s.LevelerOps += e.srLv.OuterSwaps()
-		case e.rsgLv != nil:
-			s.LevelerOps += e.rsgLv.GapMoves()
-		case e.wfrLv != nil:
-			s.LevelerOps += e.wfrLv.Swaps()
-		case e.swLv != nil:
-			s.LevelerOps += e.swLv.Relocations()
-		}
+		s.LevelerOps += levelerOps(e.lv)
 		if e.remapCache != nil {
 			s.CacheHits += e.remapCache.Hits()
 			s.CacheMisses += e.remapCache.Misses()

@@ -1,9 +1,14 @@
 package sim
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"wlreviver/internal/freep"
+	"wlreviver/internal/lls"
+	"wlreviver/internal/mc"
+	"wlreviver/internal/reviver"
 	"wlreviver/internal/trace"
 )
 
@@ -39,7 +44,7 @@ func TestNewEngineValidation(t *testing.T) {
 
 func TestEngineVariantsConstruct(t *testing.T) {
 	for _, lv := range []LevelerKind{LevelerNone, LevelerStartGap, LevelerSecurityRefresh, LevelerRegionedStartGap} {
-		for _, prot := range []ProtectorKind{ProtectorNone, ProtectorWLReviver, ProtectorFREEp, ProtectorLLS, ProtectorDRM} {
+		for _, prot := range []ProtectorKind{ProtectorNone, ProtectorWLReviver, ProtectorFREEp, ProtectorLLS} {
 			for _, e := range []ECCKind{ECCECP6, ECCECP1, ECCPAYG} {
 				lv, prot, e := lv, prot, e
 				eng := tinyEngine(t, func(c *Config) {
@@ -52,8 +57,48 @@ func TestEngineVariantsConstruct(t *testing.T) {
 				if eng.Run(500, nil) != 500 {
 					t.Errorf("leveler=%v prot=%v ecc=%v: fresh system could not run 500 writes", lv, prot, e)
 				}
+				for v := uint64(0); v < 3; v++ {
+					eng.Read(v)
+				}
+				checkRequestCounts(t, eng)
 			}
 		}
+	}
+}
+
+// checkRequestCounts requires the engine's request counts to be its
+// protector's own Stats (writes plus reads, request accesses) and the
+// access ratio to be their quotient.
+func checkRequestCounts(t *testing.T, e *Engine) {
+	t.Helper()
+	var wantReq, wantAcc uint64
+	switch p := e.Protector().(type) {
+	case *reviver.Reviver:
+		st := p.Stats()
+		wantReq, wantAcc = st.SoftwareWrites+st.SoftwareReads, st.RequestAccesses
+	case *freep.FREEp:
+		st := p.Stats()
+		wantReq, wantAcc = st.SoftwareWrites+st.SoftwareReads, st.RequestAccesses
+	case *lls.LLS:
+		st := p.Stats()
+		wantReq, wantAcc = st.SoftwareWrites+st.SoftwareReads, st.RequestAccesses
+	case *mc.Passthrough:
+		// No Stats struct: every request is one raw access until a
+		// failure, which none of these 500 writes reaches.
+		wantReq, wantAcc = 503, 503
+	default:
+		t.Fatalf("unexpected protector %T", p)
+	}
+	name := e.Protector().Name()
+	req, acc := e.RequestCounts()
+	if req != wantReq || acc != wantAcc {
+		t.Errorf("%s: RequestCounts = (%d,%d), want (%d,%d)", name, req, acc, wantReq, wantAcc)
+	}
+	if req < 503 {
+		t.Errorf("%s: %d requests counted, want at least 503", name, req)
+	}
+	if got, want := e.AccessRatio(), float64(wantAcc)/float64(wantReq); got != want {
+		t.Errorf("%s: AccessRatio = %v, want %v", name, got, want)
 	}
 }
 
@@ -66,7 +111,8 @@ func TestKindStrings(t *testing.T) {
 		ProtectorWLReviver.String():      "WLR",
 		ProtectorFREEp.String():          "FREE-p",
 		ProtectorLLS.String():            "LLS",
-		ProtectorDRM.String():            "DRM",
+		LevelerWoLFRaM.String():          "WFR",
+		LevelerSoftWear.String():         "SW",
 		ProtectorNone.String():           "none",
 		ECCECP6.String():                 "ECP6",
 		ECCECP1.String():                 "ECP1",
@@ -75,6 +121,41 @@ func TestKindStrings(t *testing.T) {
 	for got, want := range cases {
 		if got != want {
 			t.Errorf("String() = %q, want %q", got, want)
+		}
+	}
+}
+
+// TestParseKinds round-trips every kind through its display name and
+// pins the unknown-name error text, which lists the known names.
+func TestParseKinds(t *testing.T) {
+	for k := LevelerNone; k <= LevelerSoftWear; k++ {
+		if got, err := ParseLevelerKind(k.String()); got != k || err != nil {
+			t.Errorf("ParseLevelerKind(%q) = %v, %v", k.String(), got, err)
+		}
+	}
+	for k := ProtectorNone; k <= ProtectorLLS; k++ {
+		if got, err := ParseProtectorKind(k.String()); got != k || err != nil {
+			t.Errorf("ParseProtectorKind(%q) = %v, %v", k.String(), got, err)
+		}
+	}
+	for k := ECCECP6; k <= ECCPAYG; k++ {
+		if got, err := ParseECCKind(k.String()); got != k || err != nil {
+			t.Errorf("ParseECCKind(%q) = %v, %v", k.String(), got, err)
+		}
+	}
+	_, lvErr := ParseLevelerKind("x")
+	_, pErr := ParseProtectorKind("DRM")
+	_, eErr := ParseECCKind("ecp6")
+	for _, c := range []struct {
+		err  error
+		want string
+	}{
+		{lvErr, `sim: unknown leveler "x" (known: none, SG, SR, SG-R, WFR, SW): ` + ErrBadConfig.Error()},
+		{pErr, `sim: unknown protector "DRM" (known: none, WLR, FREE-p, LLS): ` + ErrBadConfig.Error()},
+		{eErr, `sim: unknown ECC "ecp6" (known: ECP6, ECP1, PAYG): ` + ErrBadConfig.Error()},
+	} {
+		if c.err == nil || c.err.Error() != c.want || !errors.Is(c.err, ErrBadConfig) {
+			t.Errorf("error = %v, want %s", c.err, c.want)
 		}
 	}
 }

@@ -74,7 +74,6 @@ const (
 	ProtectorWLReviver = sim.ProtectorWLReviver
 	ProtectorFREEp     = sim.ProtectorFREEp
 	ProtectorLLS       = sim.ProtectorLLS
-	ProtectorDRM       = sim.ProtectorDRM
 
 	ECCECP6 = sim.ECCECP6
 	ECCECP1 = sim.ECCECP1
