@@ -59,14 +59,44 @@ func paper(t *testing.T, args ...string) (stdout string, exitCode int) {
 const goldenTable1SHA = "0ef1ea466b8933621b57ef1f20998593322c0106c8696587e602a06efa5131c1"
 
 func TestGoldenTable1Stdout(t *testing.T) {
-	out, code := paper(t, "-scale", "tiny", "-exp", "table1", "-workers", "1", "-timing=false")
+	wantStdoutSHA(t, goldenTable1SHA, "-scale", "tiny", "-exp", "table1", "-workers", "1", "-timing=false")
+}
+
+// wantStdoutSHA runs the binary with args and fails unless it exits 0
+// with stdout hashing to want.
+func wantStdoutSHA(t *testing.T, want string, args ...string) {
+	t.Helper()
+	out, code := paper(t, args...)
 	if code != 0 {
 		t.Fatalf("exit code %d", code)
 	}
 	sum := sha256.Sum256([]byte(out))
-	if got := hex.EncodeToString(sum[:]); got != goldenTable1SHA {
-		t.Errorf("tiny table1 stdout hash changed:\n got %s\nwant %s\noutput:\n%s", got, goldenTable1SHA, out)
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("paper %v stdout hash changed:\n got %s\nwant %s\noutput:\n%s", args, got, want, out)
 	}
+}
+
+// goldenBenchSHA pins the byte-exact stdout of the full bench-scale
+// regeneration — every table and figure — under the same contract as
+// goldenTable1SHA. The banner names the worker count when it exceeds
+// one, so the run fixes -workers 2 to keep the hash independent of the
+// host; the body is identical at every worker count. Regenerate with:
+//
+//	go run ./cmd/paper -scale bench -exp all -workers 2 -timing=false | sha256sum
+const goldenBenchSHA = "6d36e6bf6f9f88122bfabfa91ee094906adcb1c87f88277a0272695670e46399"
+
+// raceEnabled is set by race_test.go under the race detector, which
+// slows the bench-scale run past any useful budget.
+var raceEnabled bool
+
+func TestGoldenBenchStdout(t *testing.T) {
+	if testing.Short() {
+		t.Skip("bench-scale regeneration takes ~20 s; run without -short")
+	}
+	if raceEnabled {
+		t.Skip("bench-scale regeneration is too slow under -race")
+	}
+	wantStdoutSHA(t, goldenBenchSHA, "-scale", "bench", "-exp", "all", "-workers", "2", "-timing=false")
 }
 
 // TestShardedCLIByteIdentity is the binary-level face of the sharding

@@ -8,7 +8,10 @@
 // the wear-leveling registers are the non-volatile parts that survive;
 // the OS model and the framework tables are rebuilt), wears the memory
 // down, snapshots, "reboots", restores, and shows the system continuing
-// with every failure still hidden.
+// with every failure still hidden. It exits non-zero if the reboot loses
+// a link, a retired page or a spare. The snapshot is a checkpoint-format
+// image (internal/ckpt): the retirement bitmap plus the framework's
+// shadow arena, CRC-checked on restore.
 package main
 
 import (
@@ -110,6 +113,10 @@ func main() {
 	}
 	fmt.Printf("after reboot:  %d dead blocks hidden behind %d retired pages (%d spares left)\n",
 		rv2.LinkedFailures(), osm2.RetiredPages(), rv2.AvailableSpares())
+	if rv2.LinkedFailures() != rv.LinkedFailures() || osm2.RetiredPages() != osm.RetiredPages() ||
+		rv2.AvailableSpares() != rv.AvailableSpares() {
+		log.Fatal("reboot lost state: the counts after it differ from those before it")
+	}
 
 	// --- second life: keep wearing, failures keep being hidden ---
 	drive(rv2, osm2, 1_000_000)

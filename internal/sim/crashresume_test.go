@@ -15,6 +15,7 @@ import (
 
 	"wlreviver/internal/freep"
 	"wlreviver/internal/obs"
+	"wlreviver/internal/reviver"
 	"wlreviver/internal/trace"
 )
 
@@ -257,17 +258,45 @@ func retiredSlotSet(t *testing.T, img []byte) []byte {
 // TestFreepCheckpointFixture pins the checkpoint format across the
 // removal of FREE-p's pair-coding variant. testdata/freep10.ckpt was
 // written before that removal by a FREE-p(10%) engine run past its
-// first slot allocations. It must restore and re-emit identical bytes,
-// and a fresh engine run to the same write count must produce them too.
+// first slot allocations.
 func TestFreepCheckpointFixture(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "freep10.ckpt"))
+	restored := pinCheckpointFixture(t, "freep10.ckpt", func(cfg *Config) {
+		cfg.Protector = ProtectorFREEp
+		cfg.FreepReserveFraction = 0.10
+	})
+	if restored.Protector().(*freep.FREEp).Stats().SlotsUsed == 0 {
+		t.Fatal("fixture has an empty remap table")
+	}
+}
+
+// TestReviverCheckpointFixture pins WL-Reviver's checkpoint section
+// across the merge of its reboot image into that section.
+// testdata/wlr.ckpt was written before the merge by WL-Reviver over
+// Start-Gap (seed 17), stopped at the first write that left a delivery
+// suspended while the arena held links and a spare, so every arena
+// field and the suspension state are in the image.
+func TestReviverCheckpointFixture(t *testing.T) {
+	restored := pinCheckpointFixture(t, "wlr.ckpt", func(cfg *Config) { cfg.Seed = 17 })
+	rv := restored.Protector().(*reviver.Reviver)
+	if !rv.HasPending() || rv.LinkedFailures() == 0 || rv.AvailableSpares() == 0 {
+		t.Fatalf("fixture lacks a suspension, links or spares: pending %v, %d links, %d spares",
+			rv.HasPending(), rv.LinkedFailures(), rv.AvailableSpares())
+	}
+}
+
+// pinCheckpointFixture restores testdata/name into an engine built from
+// ckptTestConfig plus mutate and requires it to re-emit identical bytes;
+// a fresh engine run to the same write count must emit them too. It
+// returns the restored engine for protector-specific checks.
+func pinCheckpointFixture(t *testing.T, name string, mutate func(*Config)) *Engine {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
 	build := func() *Engine {
 		cfg := ckptTestConfig()
-		cfg.Protector = ProtectorFREEp
-		cfg.FreepReserveFraction = 0.10
+		mutate(&cfg)
 		gen, err := benchGen("ocean")(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -282,10 +311,6 @@ func TestFreepCheckpointFixture(t *testing.T) {
 	if err := restored.RestoreCheckpoint(want); err != nil {
 		t.Fatal(err)
 	}
-	fp := restored.Protector().(*freep.FREEp)
-	if fp.Stats().SlotsUsed == 0 {
-		t.Fatal("fixture has an empty remap table")
-	}
 	if got, err := restored.Checkpoint(); err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("restored engine re-emits a different image (err %v)", err)
 	}
@@ -293,6 +318,7 @@ func TestFreepCheckpointFixture(t *testing.T) {
 	if got := finalImage(t, fresh, restored.Writes()); !bytes.Equal(got, want) {
 		t.Fatalf("fresh run to %d writes diverges from the fixture", restored.Writes())
 	}
+	return restored
 }
 
 // TestCrashAfterHalts checks the injector's exact semantics: the engine

@@ -36,6 +36,11 @@ go build ./...
 echo "== go build ./examples/..."
 go build ./examples/...
 
+# The reboot example checks itself: it exits non-zero if a snapshot and
+# restore lose a link, a retired page or a spare (paper §III-A).
+echo "== go run ./examples/reboot"
+go run ./examples/reboot
+
 # The test pass doubles as the coverage gate: the profile feeds a
 # ratchet floor (raise COVER_MIN when coverage rises; never lower it)
 # and coverage.html, which CI publishes as an artifact.
