@@ -33,7 +33,7 @@ func main() {
 func run() error {
 	var (
 		blocks    = flag.Uint64("blocks", 1<<16, "software capacity in 64B blocks")
-		pageBlk   = flag.Uint64("page-blocks", 64, "OS page size in blocks")
+		pageBlk   = flag.Uint64("page-blocks", 64, "OS page size in blocks (a power of two)")
 		endurance = flag.Float64("endurance", 1e4, "mean cell endurance in writes")
 		cov       = flag.Float64("lifetime-cov", 0.2, "cell lifetime CoV")
 		seed      = flag.Uint64("seed", 1, "RNG seed")

@@ -85,3 +85,14 @@ func TestUnknownSelector(t *testing.T) {
 		}
 	}
 }
+
+// A page size that is not a power of two is a configuration error.
+func TestPageBlocksPowerOfTwo(t *testing.T) {
+	_, stderr, code := wlsim(t, "-blocks", "4032", "-page-blocks", "24", "-endurance", "300", "-writes", "1000")
+	if code == 0 {
+		t.Fatal("-page-blocks 24: exit 0, want non-zero")
+	}
+	if !strings.Contains(stderr, "power of two") {
+		t.Errorf("-page-blocks 24: stderr %q does not name the rule", stderr)
+	}
+}

@@ -2,6 +2,7 @@ package wlreviver
 
 import (
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -35,6 +36,20 @@ func TestErrorTaxonomy(t *testing.T) {
 	cfg.BlocksPerPage = 8
 	_, err = New(cfg, w)
 	check("workload/config mismatch", err, ErrBadConfig)
+
+	// Whole pages, but a page size that is not a power of two.
+	w384, err := NewWorkload(WorkloadSpec{Kind: WorkloadUniform, Blocks: 384, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg = DefaultConfig()
+	cfg.Blocks = 384
+	cfg.BlocksPerPage = 24
+	_, err = New(cfg, w384)
+	check("page size not a power of two", err, ErrBadConfig)
+	if err != nil && !strings.Contains(err.Error(), "power of two") {
+		t.Errorf("page size not a power of two: %v does not name the rule", err)
+	}
 
 	_, err = LookupExperiment("nosuch")
 	check("unknown experiment", err, ErrUnknownExperiment)

@@ -190,14 +190,13 @@ func (f *FREEp) Write(pa, tag uint64) mc.WriteResult {
 	// Slots exhausted: the failure is exposed (wear leveling has ceased)
 	// and handled by the standard OS path — page retirement, data
 	// relocation, retry at the fresh translation.
-	relocs := f.relocate(pa)
-	return mc.WriteResult{Accesses: accesses, Relocations: relocs, Retry: true}
+	f.relocate(pa)
+	return mc.WriteResult{Accesses: accesses, Retry: true}
 }
 
 // relocate retires pa's page via the OS and copies its data out.
-func (f *FREEp) relocate(pa uint64) []osmodel.Relocation {
+func (f *FREEp) relocate(pa uint64) {
 	_, relocs := f.os.ReportFailure(pa)
-	performed := relocs[:0]
 	for _, rc := range relocs {
 		src, _ := f.effective(f.lv.Map(rc.OldPA))
 		if f.be.Dead(src) {
@@ -205,11 +204,8 @@ func (f *FREEp) relocate(pa uint64) []osmodel.Relocation {
 		}
 		f.be.ReadRaw(src)
 		tag := f.be.Dev.Content(pcm.BlockID(src))
-		if _, ok := f.writeTo(f.lv.Map(rc.NewPA), tag); ok {
-			performed = append(performed, rc)
-		}
+		f.writeTo(f.lv.Map(rc.NewPA), tag)
 	}
-	return performed
 }
 
 // Read implements mc.Protector.

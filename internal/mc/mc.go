@@ -7,7 +7,6 @@ package mc
 import (
 	"wlreviver/internal/ecc"
 	"wlreviver/internal/obs"
-	"wlreviver/internal/osmodel"
 	"wlreviver/internal/pcm"
 	"wlreviver/internal/wear"
 )
@@ -77,16 +76,13 @@ func (b *Backend) ReadRaw(da uint64) {
 func (b *Backend) Dead(da uint64) bool { return b.Dev.Dead(pcm.BlockID(da)) }
 
 // WriteResult reports the outcome of a software-issued write through a
-// Protector.
+// Protector. It is two words so it comes back in registers: Go returns
+// results of at most 32 bytes in registers and spills larger ones to the
+// stack, which the engine then reloads on every simulated write.
 type WriteResult struct {
 	// Accesses is the number of raw PCM accesses the request consumed
 	// (Table II's metric numerator).
 	Accesses uint64
-	// Relocations reports OS recovery copies that a page retirement
-	// during this write already performed (data moved OldPA -> NewPA).
-	// They are informational for address bookkeeping; callers must not
-	// replay them.
-	Relocations []osmodel.Relocation
 	// Retry is set when the write was reported to the OS as failed
 	// (really or as a sacrifice) and must be re-issued by the caller at
 	// the freshly translated address.

@@ -2,6 +2,7 @@ package mc
 
 import (
 	"testing"
+	"unsafe"
 
 	"wlreviver/internal/ecc"
 	"wlreviver/internal/osmodel"
@@ -149,5 +150,15 @@ func TestPassthroughMoverOps(t *testing.T) {
 	}
 	if p.Crippled() {
 		t.Error("healthy mover ops should not cripple")
+	}
+}
+
+// TestWriteResultFitsInRegisters pins WriteResult at two words. Go keeps
+// values of at most 32 bytes in registers; a larger result is spilled to
+// the stack and reloaded after every protector write, on the engine's
+// per-write path.
+func TestWriteResultFitsInRegisters(t *testing.T) {
+	if size := unsafe.Sizeof(WriteResult{}); size > 16 {
+		t.Fatalf("WriteResult is %d bytes, want at most 16: past Go's 32-byte register limit every protector write returns it through memory", size)
 	}
 }

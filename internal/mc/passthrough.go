@@ -59,14 +59,13 @@ func (p *Passthrough) Write(pa, tag uint64) WriteResult {
 	}
 	p.lostWrites++
 	p.expose()
-	relocs := p.relocate(pa)
-	return WriteResult{Accesses: 1, Relocations: relocs, Retry: true}
+	p.relocate(pa)
+	return WriteResult{Accesses: 1, Retry: true}
 }
 
 // relocate performs the OS's standard page retirement and recovery copy.
-func (p *Passthrough) relocate(pa uint64) []osmodel.Relocation {
+func (p *Passthrough) relocate(pa uint64) {
 	_, relocs := p.os.ReportFailure(pa)
-	performed := relocs[:0]
 	for _, rc := range relocs {
 		src := p.lv.Map(rc.OldPA)
 		if p.be.Dead(src) {
@@ -81,9 +80,7 @@ func (p *Passthrough) relocate(pa uint64) []osmodel.Relocation {
 		if p.be.Dev.TracksContent() {
 			p.be.Dev.SetContent(pcm.BlockID(dst), p.be.Dev.Content(pcm.BlockID(src)))
 		}
-		performed = append(performed, rc)
 	}
-	return performed
 }
 
 // LostWrites returns the number of failed (and reported) writes.

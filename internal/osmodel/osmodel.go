@@ -18,6 +18,7 @@ package osmodel
 
 import (
 	"fmt"
+	"math/bits"
 
 	"wlreviver/internal/obs"
 )
@@ -31,9 +32,11 @@ type Relocation struct {
 
 // Model is the OS page-management model. It addresses memory in blocks;
 // a page is BlocksPerPage consecutive blocks (64 for 4 KB pages of 64 B
-// blocks).
+// blocks), a power of two, so translation is a shift and a mask.
 type Model struct {
 	blocksPerPage uint64 // ckpt:skip construction-time geometry, fingerprinted by the engine
+	pageShift     uint64 // ckpt:skip construction-time geometry, log2(blocksPerPage)
+	pageMask      uint64 // ckpt:skip construction-time geometry, blocksPerPage-1
 	numPages      uint64 // ckpt:skip construction-time geometry, validated on restore
 
 	virtToPhys []uint32 // virtual page -> physical page
@@ -46,10 +49,12 @@ type Model struct {
 }
 
 // New builds a model covering numBlocks blocks with pages of
-// blocksPerPage blocks. numBlocks must be a multiple of blocksPerPage.
+// blocksPerPage blocks. blocksPerPage must be a power of two (real page
+// and block sizes are; the paper's 4 KB/64 B page holds 64 blocks), and
+// numBlocks a multiple of it.
 func New(numBlocks, blocksPerPage uint64) (*Model, error) {
-	if blocksPerPage == 0 {
-		return nil, fmt.Errorf("osmodel: blocksPerPage must be positive")
+	if blocksPerPage == 0 || blocksPerPage&(blocksPerPage-1) != 0 {
+		return nil, fmt.Errorf("osmodel: blocksPerPage %d must be a power of two", blocksPerPage)
 	}
 	if numBlocks == 0 || numBlocks%blocksPerPage != 0 {
 		return nil, fmt.Errorf("osmodel: numBlocks %d must be a positive multiple of page size %d",
@@ -61,6 +66,8 @@ func New(numBlocks, blocksPerPage uint64) (*Model, error) {
 	}
 	m := &Model{
 		blocksPerPage: blocksPerPage,
+		pageShift:     uint64(bits.TrailingZeros64(blocksPerPage)),
+		pageMask:      blocksPerPage - 1,
 		numPages:      numPages,
 		virtToPhys:    make([]uint32, numPages),
 		retired:       make([]bool, numPages),
@@ -81,19 +88,22 @@ func (m *Model) BlocksPerPage() uint64 { return m.blocksPerPage }
 // (PA) the software would issue. ok is false when the memory has no
 // usable pages left.
 func (m *Model) Translate(vblock uint64) (pa uint64, ok bool) {
-	vpage := vblock / m.blocksPerPage
-	if vpage >= m.numPages {
+	// The shift count is masked to 6 bits so the compiler emits a bare
+	// shift; it is below 64 anyway. Comparing against the table's length
+	// (== numPages) lets the compiler drop the index bounds check.
+	vpage := vblock >> (m.pageShift & 63)
+	if vpage >= uint64(len(m.virtToPhys)) {
 		panic(fmt.Sprintf("osmodel: virtual block %d out of range", vblock))
 	}
 	if m.retiredCnt == m.numPages {
 		return 0, false
 	}
 	ppage := uint64(m.virtToPhys[vpage])
-	return ppage*m.blocksPerPage + vblock%m.blocksPerPage, true
+	return ppage<<(m.pageShift&63) | vblock&m.pageMask, true
 }
 
 // PageOf returns the physical page containing block address pa.
-func (m *Model) PageOf(pa uint64) uint64 { return pa / m.blocksPerPage }
+func (m *Model) PageOf(pa uint64) uint64 { return pa >> (m.pageShift & 63) }
 
 // Retired reports whether the page containing pa has been retired.
 func (m *Model) Retired(pa uint64) bool { return m.retired[m.PageOf(pa)] }

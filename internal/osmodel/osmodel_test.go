@@ -8,6 +8,7 @@ import (
 func TestNewValidation(t *testing.T) {
 	cases := []struct{ blocks, bpp uint64 }{
 		{0, 64}, {100, 0}, {100, 64}, // 100 not multiple of 64
+		{96, 24}, // a whole number of pages, but not a power-of-two page
 	}
 	for i, c := range cases {
 		if _, err := New(c.blocks, c.bpp); err == nil {
@@ -194,4 +195,25 @@ func TestQuickRetirementConsistency(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// sink keeps BenchmarkTranslate's dependency chain live.
+var sink uint64
+
+// BenchmarkTranslate measures Translate's latency, not its throughput:
+// each result feeds the next address, so the loop runs only as fast as
+// one translation completes (a divide here would show in full).
+func BenchmarkTranslate(b *testing.B) {
+	const blocks = 1 << 16
+	m, err := New(blocks, 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var v uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pa, _ := m.Translate(v)
+		v = (pa + 0x9e3) & (blocks - 1)
+	}
+	sink = v
 }

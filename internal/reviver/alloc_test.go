@@ -90,4 +90,28 @@ func TestRevivedWriteAllocs(t *testing.T) {
 	if reads != 0 {
 		t.Errorf("revived read allocates %.2f objects, want 0", reads)
 	}
+
+	// A write to a healthy block takes Write's early return, which must
+	// not allocate either.
+	healthy, found := uint64(0), false
+	for p := uint64(0); p < h.lv.NumPAs() && !found; p++ {
+		if h.os.Retired(p) {
+			continue
+		}
+		if steps, ok := h.rv.ChainSteps(h.lv.Map(p)); ok && steps == 0 {
+			healthy, found = p, true
+		}
+	}
+	if !found {
+		t.Fatal("no software PA translates onto a healthy block")
+	}
+	healthyWrites := testing.AllocsPerRun(1000, func() {
+		tag++
+		if res := h.rv.Write(healthy, tag); res.Retry || res.Accesses != 1 {
+			t.Fatalf("healthy write to PA %d = %+v, want one access", healthy, res)
+		}
+	})
+	if healthyWrites != 0 {
+		t.Errorf("healthy write allocates %.2f objects, want 0", healthyWrites)
+	}
 }

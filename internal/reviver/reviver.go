@@ -169,6 +169,9 @@ type Reviver struct {
 	// dead blocks allocates nothing once it has grown to the longest
 	// chain seen.
 	walk []chainLink // ckpt:skip scratch buffer, empty between deliveries
+	// relocs holds the recovery copies the latest page acquisition
+	// performed (see LastRelocations), reused across acquisitions.
+	relocs []osmodel.Relocation // ckpt:skip scratch buffer, reset by every Write
 
 	pending  []pendingOp
 	pendVals map[uint64]pendingVal // entry DA -> buffered data while suspended
@@ -355,12 +358,11 @@ func (r *Reviver) writeInv(idx uint32) {
 //
 // The recovery copies are performed here, in exception-handling order:
 // the page's data is snapshotted before any of its blocks can be reused
-// as shadow storage, then delivered to the donor page. The returned
-// relocations are the copies actually performed (informational — the
-// caller must not replay them). A block whose data was already lost (the
-// genuinely failed block being written) naturally drops out because its
-// chain holds no data.
-func (r *Reviver) acquirePage(reportPA uint64) []osmodel.Relocation {
+// as shadow storage, then delivered to the donor page. The copies
+// actually performed are recorded in r.relocs for LastRelocations. A
+// block whose data was already lost (the genuinely failed block being
+// written) naturally drops out because its chain holds no data.
+func (r *Reviver) acquirePage(reportPA uint64) {
 	pas, relocs := r.os.ReportFailure(reportPA)
 	type saved struct {
 		rc  osmodel.Relocation
@@ -391,7 +393,7 @@ func (r *Reviver) acquirePage(reportPA uint64) []osmodel.Relocation {
 		r.paIdx[p] = idx + 1
 		r.pushSpare(idx)
 	}
-	performed := make([]osmodel.Relocation, 0, len(toCopy))
+	r.relocs = r.relocs[:0]
 	for _, s := range toCopy {
 		acc, needPA, _ := r.deliver(r.lv.Map(s.rc.NewPA), s.tag, chainLink{}, false, remap{}, true, true)
 		r.st.MaintenanceAccesses += acc
@@ -401,11 +403,10 @@ func (r *Reviver) acquirePage(reportPA uint64) []osmodel.Relocation {
 			r.st.RelocationsDropped++
 			continue
 		}
-		performed = append(performed, s.rc)
+		r.relocs = append(r.relocs, s.rc)
 	}
 	r.st.PagesAcquired++
 	r.sweepOrphans()
-	return performed
 }
 
 // sweepOrphans restores Theorem 2 after an acquisition: every dead block
@@ -720,6 +721,7 @@ func (r *Reviver) chainHead(headPA uint64, ok bool, entry uint64) (chainLink, bo
 // protocol when a suspended migration is waiting for spare space.
 func (r *Reviver) Write(pa, tag uint64) mc.WriteResult {
 	r.st.SoftwareWrites++
+	r.relocs = r.relocs[:0]
 	if len(r.pending) > 0 {
 		if r.spares > 0 {
 			r.resume()
@@ -729,23 +731,47 @@ func (r *Reviver) Write(pa, tag uint64) mc.WriteResult {
 			// though it may not be (§III-A). The OS retires the page and
 			// redirects the write to an alternative location; the caller
 			// retries at the new translation.
-			relocs := r.acquirePage(pa)
+			r.acquirePage(pa)
 			r.st.SacrificedWrites++
-			return mc.WriteResult{Relocations: relocs, Retry: true}
+			return mc.WriteResult{Retry: true}
 		}
 	}
 	r.lastWritePA = pa
 	r.lastWriteOK = true
 	da := r.lv.Map(pa)
-	accesses, needPA, _ := r.deliver(da, tag, chainLink{}, false, remap{}, true, true)
+	var accesses uint64
+	if len(r.pendVals) == 0 && !r.be.Dead(da) {
+		// Healthy block, nothing buffered: the chain is empty, so the
+		// write is one raw access with no walk (§III: only failed blocks
+		// pay for revival).
+		if r.be.WriteRaw(da) {
+			if r.be.Dev.TracksContent() {
+				r.be.Dev.SetContent(pcmBlock(da), tag)
+			}
+			r.st.RequestAccesses++
+			return mc.WriteResult{Accesses: 1}
+		}
+		// The block died under this write (Fig. 2c). deliver links it
+		// afresh; the failed attempt already cost one access.
+		accesses = 1
+	}
+	acc, needPA, _ := r.deliver(da, tag, chainLink{}, false, remap{}, true, true)
+	accesses += acc
 	r.st.RequestAccesses += accesses
 	if needPA {
 		// A genuine write failure with the spare pool empty: report it.
-		relocs := r.acquirePage(pa)
-		return mc.WriteResult{Accesses: accesses, Relocations: relocs, Retry: true}
+		r.acquirePage(pa)
+		return mc.WriteResult{Accesses: accesses, Retry: true}
 	}
 	return mc.WriteResult{Accesses: accesses}
 }
+
+// LastRelocations returns the OS recovery copies (data moved OldPA ->
+// NewPA) that the most recent Write performed when it retired a page and
+// returned Retry. It is empty after a Write that retired no page. The
+// copies are informational for address bookkeeping — callers must not
+// replay them — and the slice is reused by the next Write.
+func (r *Reviver) LastRelocations() []osmodel.Relocation { return r.relocs }
 
 // Read implements mc.Protector.
 func (r *Reviver) Read(pa uint64) (uint64, uint64) {

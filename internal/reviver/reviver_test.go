@@ -1,9 +1,12 @@
 package reviver
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
 	"wlreviver/internal/cache"
+	"wlreviver/internal/ckpt"
 	"wlreviver/internal/ecc"
 	"wlreviver/internal/mc"
 	"wlreviver/internal/osmodel"
@@ -135,7 +138,7 @@ func (h *harness) write(vblock uint64) bool {
 			return false
 		}
 		res := h.rv.Write(pa, tag)
-		h.noteRelocations(pa, res.Relocations, res.Retry)
+		h.noteRelocations(pa, h.rv.LastRelocations(), res.Retry)
 		if !res.Retry {
 			h.expected[pa] = tag
 			h.rv.ResumePending()
@@ -159,7 +162,7 @@ func (h *harness) write(vblock uint64) bool {
 func (h *harness) noteRelocations(reportPA uint64, relocs []osmodel.Relocation, retired bool) {
 	if !retired {
 		if len(relocs) != 0 {
-			h.t.Fatalf("relocations returned without a retirement")
+			h.t.Fatalf("LastRelocations is not empty after a Write that did not retire a page")
 		}
 		return
 	}
@@ -536,4 +539,101 @@ func TestRunToExhaustion(t *testing.T) {
 	if h.os.UsablePages() > 0 {
 		t.Logf("run ended with %d usable pages (did not fully exhaust)", h.os.UsablePages())
 	}
+}
+
+// writeViaDeliver is Write without its healthy-block early return: the
+// write goes through deliver from the start. It is the reference
+// TestWriteDeathMatchesDeliver compares Write against, and assumes no
+// delivery is suspended.
+func writeViaDeliver(r *Reviver, pa, tag uint64) mc.WriteResult {
+	r.st.SoftwareWrites++
+	r.relocs = r.relocs[:0]
+	r.lastWritePA = pa
+	r.lastWriteOK = true
+	accesses, needPA, _ := r.deliver(r.lv.Map(pa), tag, chainLink{}, false, remap{}, true, true)
+	r.st.RequestAccesses += accesses
+	if needPA {
+		r.acquirePage(pa)
+		return mc.WriteResult{Accesses: accesses, Retry: true}
+	}
+	return mc.WriteResult{Accesses: accesses}
+}
+
+// killOnNextWrite scripts the block at da to die on its next raw write.
+func killOnNextWrite(h *harness, da uint64) {
+	w0 := h.dev.Wear(pcm.BlockID(da))
+	h.be.FailureHook = func(d, w uint64) bool { return d == da && w > w0 }
+}
+
+// TestWriteDeathMatchesDeliver pins the fall-through of Write's
+// healthy-block early return. When the block dies under the early
+// return's raw write, Write hands the block to deliver and charges the
+// failed attempt's access. The outcome must match a write that went
+// through deliver from the start: the same result, request counts,
+// stats, checkpoint bytes and recovery copies. Two cases: the chip's
+// first failure (no spares, so the page is acquired and the write
+// retried), and a later one that links to a spare.
+func TestWriteDeathMatchesDeliver(t *testing.T) {
+	const pa = 5
+	for _, tc := range []struct {
+		name   string
+		spares bool
+	}{{"first failure", false}, {"with spares", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			setup := func() *harness {
+				h := newHarness(t, harnessOpts{blocks: 64, blocksPerPage: 8, endurance: 1e12, seed: 3})
+				for v := uint64(0); v < 64; v++ {
+					h.write(v)
+				}
+				if tc.spares {
+					killOnNextWrite(h, h.lv.Map(40))
+					h.write(40)
+					if h.rv.AvailableSpares() == 0 {
+						t.Fatal("the first failure left no spares")
+					}
+				}
+				if h.rv.HasPending() || h.be.Dead(h.lv.Map(pa)) {
+					t.Fatal("set-up left a suspended delivery or a dead target")
+				}
+				killOnNextWrite(h, h.lv.Map(pa))
+				return h
+			}
+			fast, ref := setup(), setup()
+			const tag = 1 << 40
+			got := fast.rv.Write(pa, tag)
+			want := writeViaDeliver(ref.rv, pa, tag)
+			if !fast.be.Dead(fast.lv.Map(pa)) {
+				t.Fatal("the scripted failure did not fire")
+			}
+			if got.Retry != !tc.spares || got.Accesses < 1 {
+				t.Fatalf("Write = %+v, want Retry %v and at least one access", got, !tc.spares)
+			}
+			if got != want {
+				t.Errorf("Write = %+v, via deliver %+v", got, want)
+			}
+			gr, ga := fast.rv.RequestCounts()
+			wr, wa := ref.rv.RequestCounts()
+			if gr != wr || ga != wa {
+				t.Errorf("RequestCounts = (%d, %d), via deliver (%d, %d)", gr, ga, wr, wa)
+			}
+			if fast.rv.Stats() != ref.rv.Stats() {
+				t.Errorf("Stats = %+v, via deliver %+v", fast.rv.Stats(), ref.rv.Stats())
+			}
+			if !slices.Equal(fast.rv.LastRelocations(), ref.rv.LastRelocations()) {
+				t.Errorf("LastRelocations = %v, via deliver %v", fast.rv.LastRelocations(), ref.rv.LastRelocations())
+			}
+			if !bytes.Equal(reviverState(fast.rv), reviverState(ref.rv)) {
+				t.Error("SaveState bytes differ from the write through deliver")
+			}
+		})
+	}
+}
+
+// reviverState returns rv's checkpoint bytes.
+func reviverState(rv *Reviver) []byte {
+	e := ckpt.NewEncoder()
+	e.Begin("reviver")
+	rv.SaveState(e)
+	e.End()
+	return e.Finish()
 }

@@ -166,6 +166,9 @@ func TestHTTPRequestValidation(t *testing.T) {
 	if resp := post("/v1/devices", `{"spec":{}}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("missing id: %d, want 400", resp.StatusCode)
 	}
+	if resp := post("/v1/devices", `{"id":"odd","spec":{"blocks":384,"blocks_per_page":24}}`); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("page size not a power of two: %d, want 400", resp.StatusCode)
+	}
 	if err := NewClient(srv.URL, srv.Client()).Create(context.Background(), "dev", testSpec(1)); err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,8 @@ type DeviceSpec struct {
 	Stack string `json:"stack,omitempty"`
 
 	// Geometry and media. Zero values take the sim.DefaultConfig
-	// scaled-paper values.
+	// scaled-paper values. BlocksPerPage must be a power of two that
+	// divides Blocks; any other page size is a bad config (HTTP 400).
 	Blocks        uint64  `json:"blocks,omitempty"`
 	BlocksPerPage uint64  `json:"blocks_per_page,omitempty"`
 	CellsPerBlock int     `json:"cells_per_block,omitempty"`

@@ -28,7 +28,8 @@ type Config struct {
 	// Blocks is the software-visible capacity in blocks (the paper's
 	// 1 GB chip is 2^24 blocks of 64 B; defaults here are scaled).
 	Blocks uint64
-	// BlocksPerPage is the OS page size in blocks (paper: 64).
+	// BlocksPerPage is the OS page size in blocks (paper: 64). It must
+	// be a power of two dividing Blocks.
 	BlocksPerPage uint64
 	// CellsPerBlock is the ECC-group size in cells (paper: 512).
 	CellsPerBlock int

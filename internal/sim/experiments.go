@@ -270,6 +270,29 @@ func curveJob(s Scale, key, name string, build func() (Machine, error), metric f
 	}
 }
 
+// curveFig is one workload's half of a per-workload curve figure: its
+// jobs, and the step that assembles its result from their curves (in
+// job order) and total write count. Keeping the two apart lets
+// bothWorkloads run both reference workloads' jobs in one pool.
+type curveFig[T fmt.Stringer] struct {
+	jobs     []Job[stats.Curve]
+	assemble func(curves []stats.Curve, writes uint64) T
+}
+
+// runFig runs one workload's half of a curve figure in its own pool.
+func runFig[T fmt.Stringer](s Scale, workload string, build func(Scale, string) curveFig[T]) (T, error) {
+	var zero T
+	if err := validateWorkload(workload); err != nil {
+		return zero, err
+	}
+	f := build(s, workload)
+	curves, writes, err := CollectJobs(f.jobs, s.Workers)
+	if err != nil {
+		return zero, err
+	}
+	return f.assemble(curves, writes), nil
+}
+
 // survival reads the survival-rate metric.
 func survival(e Machine) float64 { return e.SurvivalRate() }
 
@@ -446,9 +469,11 @@ func (r *Fig6Result) TotalWrites() uint64 { return r.SimWrites }
 // retirement cascade modelled, the equivalent decay is expressed in
 // usable capacity (EXPERIMENTS.md discusses the correspondence).
 func Fig6(s Scale, workload string) (*Fig6Result, error) {
-	if err := validateWorkload(workload); err != nil {
-		return nil, err
-	}
+	return runFig(s, workload, fig6)
+}
+
+// fig6 builds Figure 6's jobs for one workload.
+func fig6(s Scale, workload string) curveFig[*Fig6Result] {
 	type variant struct {
 		name  string
 		ecc   ECCKind
@@ -476,11 +501,9 @@ func Fig6(s Scale, workload string) (*Fig6Result, error) {
 			return s.newMachine(cfg, workload)
 		}, usable, 0.70, s.maxWrites()))
 	}
-	curves, writes, err := CollectJobs(jobs, s.Workers)
-	if err != nil {
-		return nil, err
-	}
-	return &Fig6Result{Workload: workload, Curves: curves, SimWrites: writes}, nil
+	return curveFig[*Fig6Result]{jobs: jobs, assemble: func(curves []stats.Curve, writes uint64) *Fig6Result {
+		return &Fig6Result{Workload: workload, Curves: curves, SimWrites: writes}
+	}}
 }
 
 // String formats the curves as a column table sampled at common points.
@@ -505,9 +528,11 @@ func (r *Fig7Result) TotalWrites() uint64 { return r.SimWrites }
 // Fig7 produces the usable-space comparison under ECP6 + Start-Gap, one
 // job per protection arm.
 func Fig7(s Scale, workload string) (*Fig7Result, error) {
-	if err := validateWorkload(workload); err != nil {
-		return nil, err
-	}
+	return runFig(s, workload, fig7)
+}
+
+// fig7 builds Figure 7's jobs for one workload.
+func fig7(s Scale, workload string) curveFig[*Fig7Result] {
 	arms := []struct {
 		name    string
 		prot    ProtectorKind
@@ -530,11 +555,9 @@ func Fig7(s Scale, workload string) (*Fig7Result, error) {
 			return s.newMachine(cfg, workload)
 		}, usable, 0.50, s.maxWrites()))
 	}
-	curves, writes, err := CollectJobs(jobs, s.Workers)
-	if err != nil {
-		return nil, err
-	}
-	return &Fig7Result{Workload: workload, Curves: curves, SimWrites: writes}, nil
+	return curveFig[*Fig7Result]{jobs: jobs, assemble: func(curves []stats.Curve, writes uint64) *Fig7Result {
+		return &Fig7Result{Workload: workload, Curves: curves, SimWrites: writes}
+	}}
 }
 
 // String formats the curves.
@@ -559,9 +582,11 @@ func (r *Fig8Result) TotalWrites() uint64 { return r.SimWrites }
 // Fig8 produces the WLR-vs-LLS usable-space comparison, one job per
 // scheme.
 func Fig8(s Scale, workload string) (*Fig8Result, error) {
-	if err := validateWorkload(workload); err != nil {
-		return nil, err
-	}
+	return runFig(s, workload, fig8)
+}
+
+// fig8 builds Figure 8's jobs for one workload.
+func fig8(s Scale, workload string) curveFig[*Fig8Result] {
 	arms := []struct {
 		name string
 		prot ProtectorKind
@@ -575,11 +600,9 @@ func Fig8(s Scale, workload string) (*Fig8Result, error) {
 			return s.newMachine(cfg, workload)
 		}, usable, 0.50, s.maxWrites()))
 	}
-	curves, writes, err := CollectJobs(jobs, s.Workers)
-	if err != nil {
-		return nil, err
-	}
-	return &Fig8Result{Workload: workload, Curves: curves, SimWrites: writes}, nil
+	return curveFig[*Fig8Result]{jobs: jobs, assemble: func(curves []stats.Curve, writes uint64) *Fig8Result {
+		return &Fig8Result{Workload: workload, Curves: curves, SimWrites: writes}
+	}}
 }
 
 // String formats the curves.
@@ -608,38 +631,41 @@ func (r *FigLevelerResult) TotalWrites() uint64 { return r.SimWrites }
 // bare vs FREE-p(10%) vs LLS vs WL-Reviver under ECP6 — one job per arm.
 // expName qualifies the observer/checkpoint keys ("wolfram", "softwear").
 func FigLeveler(s Scale, workload string, kind LevelerKind, expName string) (*FigLevelerResult, error) {
-	if err := validateWorkload(workload); err != nil {
-		return nil, err
+	return runFig(s, workload, figLeveler(kind, expName))
+}
+
+// figLeveler returns the builder of one leveler's protection-ladder
+// jobs for one workload.
+func figLeveler(kind LevelerKind, expName string) func(Scale, string) curveFig[*FigLevelerResult] {
+	return func(s Scale, workload string) curveFig[*FigLevelerResult] {
+		arms := []struct {
+			name    string
+			prot    ProtectorKind
+			reserve float64
+		}{
+			{kind.String(), ProtectorNone, 0},
+			{kind.String() + "-FREE-p(10%)", ProtectorFREEp, 0.10},
+			{kind.String() + "-LLS", ProtectorLLS, 0},
+			{kind.String() + "-WLR", ProtectorWLReviver, 0},
+		}
+		jobs := make([]Job[stats.Curve], 0, len(arms))
+		for _, a := range arms {
+			key := expName + "/" + workload + "/" + a.name
+			jobs = append(jobs, curveJob(s, key, a.name, func() (Machine, error) {
+				cfg := s.engineConfig(key)
+				cfg.Leveler = kind
+				cfg.Protector = a.prot
+				cfg.FreepReserveFraction = a.reserve
+				return s.newMachine(cfg, workload)
+			}, usable, 0.50, s.maxWrites()))
+		}
+		return curveFig[*FigLevelerResult]{jobs: jobs, assemble: func(curves []stats.Curve, writes uint64) *FigLevelerResult {
+			return &FigLevelerResult{
+				Workload: workload, Curves: curves, SimWrites: writes,
+				title: fmt.Sprintf("%s — software-usable space vs writes/block (%s), ECP6", expName, workload),
+			}
+		}}
 	}
-	arms := []struct {
-		name    string
-		prot    ProtectorKind
-		reserve float64
-	}{
-		{kind.String(), ProtectorNone, 0},
-		{kind.String() + "-FREE-p(10%)", ProtectorFREEp, 0.10},
-		{kind.String() + "-LLS", ProtectorLLS, 0},
-		{kind.String() + "-WLR", ProtectorWLReviver, 0},
-	}
-	jobs := make([]Job[stats.Curve], 0, len(arms))
-	for _, a := range arms {
-		key := expName + "/" + workload + "/" + a.name
-		jobs = append(jobs, curveJob(s, key, a.name, func() (Machine, error) {
-			cfg := s.engineConfig(key)
-			cfg.Leveler = kind
-			cfg.Protector = a.prot
-			cfg.FreepReserveFraction = a.reserve
-			return s.newMachine(cfg, workload)
-		}, usable, 0.50, s.maxWrites()))
-	}
-	curves, writes, err := CollectJobs(jobs, s.Workers)
-	if err != nil {
-		return nil, err
-	}
-	return &FigLevelerResult{
-		Workload: workload, Curves: curves, SimWrites: writes,
-		title: fmt.Sprintf("%s — software-usable space vs writes/block (%s), ECP6", expName, workload),
-	}, nil
 }
 
 // String formats the curves.

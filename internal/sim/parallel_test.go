@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -34,11 +35,13 @@ func TestParallelMatchesSerial(t *testing.T) {
 
 	t.Run("fig6", func(t *testing.T) {
 		t.Parallel()
-		for _, w := range []string{"ocean", "mg"} {
+		var halves []fmt.Stringer
+		for _, w := range ReferenceWorkloads {
 			a, err := Fig6(serial, w)
 			if err != nil {
 				t.Fatal(err)
 			}
+			halves = append(halves, a)
 			b, err := Fig6(parallel, w)
 			if err != nil {
 				t.Fatal(err)
@@ -49,6 +52,19 @@ func TestParallelMatchesSerial(t *testing.T) {
 			if a.SimWrites != b.SimWrites {
 				t.Errorf("%s: write accounting diverged: %d vs %d", w, a.SimWrites, b.SimWrites)
 			}
+		}
+		// The registry runs both workloads' jobs in one pool; each half
+		// must still equal its workload's own serial run.
+		exp, err := LookupExperiment("fig6")
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := exp.Run(parallel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.(ResultPair).Halves(); !reflect.DeepEqual(got, halves) {
+			t.Error("registry fig6 over one pool diverged from the per-workload serial runs")
 		}
 	})
 

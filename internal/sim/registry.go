@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"sort"
+
+	"wlreviver/internal/stats"
 )
 
 // ReferenceWorkloads are the two Table I benchmarks the paper's
@@ -38,17 +40,17 @@ func Experiments() []Experiment {
 		{
 			Name: "fig6",
 			Doc:  "capacity-survival curves under six ECC/leveler stacks",
-			Run:  func(s Scale) (fmt.Stringer, error) { return bothWorkloads(s, Fig6) },
+			Run:  func(s Scale) (fmt.Stringer, error) { return bothWorkloads(s, fig6) },
 		},
 		{
 			Name: "fig7",
 			Doc:  "user-usable space, WL-Reviver vs FREE-p reservations",
-			Run:  func(s Scale) (fmt.Stringer, error) { return bothWorkloads(s, Fig7) },
+			Run:  func(s Scale) (fmt.Stringer, error) { return bothWorkloads(s, fig7) },
 		},
 		{
 			Name: "fig8",
 			Doc:  "software-usable space, WL-Reviver vs LLS",
-			Run:  func(s Scale) (fmt.Stringer, error) { return bothWorkloads(s, Fig8) },
+			Run:  func(s Scale) (fmt.Stringer, error) { return bothWorkloads(s, fig8) },
 		},
 		{
 			Name: "table2",
@@ -61,18 +63,14 @@ func Experiments() []Experiment {
 			Name: "wolfram",
 			Doc:  "WoLFRaM decoder remapping: bare vs FREE-p vs LLS vs WL-Reviver",
 			Run: func(s Scale) (fmt.Stringer, error) {
-				return bothWorkloads(s, func(s Scale, w string) (*FigLevelerResult, error) {
-					return FigLeveler(s, w, LevelerWoLFRaM, "wolfram")
-				})
+				return bothWorkloads(s, figLeveler(LevelerWoLFRaM, "wolfram"))
 			},
 		},
 		{
 			Name: "softwear",
 			Doc:  "SoftWear OS-level page leveling: bare vs FREE-p vs LLS vs WL-Reviver",
 			Run: func(s Scale) (fmt.Stringer, error) {
-				return bothWorkloads(s, func(s Scale, w string) (*FigLevelerResult, error) {
-					return FigLeveler(s, w, LevelerSoftWear, "softwear")
-				})
+				return bothWorkloads(s, figLeveler(LevelerSoftWear, "softwear"))
 			},
 		},
 		{
@@ -210,15 +208,30 @@ func (p ResultPair) TotalWrites() uint64 {
 	return sum
 }
 
-// bothWorkloads runs a per-workload figure for the reference workloads.
-func bothWorkloads[T fmt.Stringer](s Scale, f func(Scale, string) (T, error)) (fmt.Stringer, error) {
-	first, err := f(s, ReferenceWorkloads[0])
-	if err != nil {
-		return nil, err
+// bothWorkloads runs a per-workload curve figure for the reference
+// workloads. Both workloads' jobs share one pool, so no worker idles at
+// a barrier between the halves; each half is assembled from its own
+// slice of the results, exactly as if the halves had run one after the
+// other.
+func bothWorkloads[T fmt.Stringer](s Scale, build func(Scale, string) curveFig[T]) (fmt.Stringer, error) {
+	figs := make([]curveFig[T], len(ReferenceWorkloads))
+	var jobs []Job[stats.Curve]
+	for i, w := range ReferenceWorkloads {
+		if err := validateWorkload(w); err != nil {
+			return nil, err
+		}
+		figs[i] = build(s, w)
+		jobs = append(jobs, figs[i].jobs...)
 	}
-	second, err := f(s, ReferenceWorkloads[1])
-	if err != nil {
-		return nil, err
+	results := RunJobs(jobs, s.Workers)
+	halves := make([]fmt.Stringer, len(figs))
+	for i, f := range figs {
+		curves, writes, err := collectResults(results[:len(f.jobs)])
+		if err != nil {
+			return nil, err
+		}
+		results = results[len(f.jobs):]
+		halves[i] = f.assemble(curves, writes)
 	}
-	return ResultPair{First: first, Second: second}, nil
+	return ResultPair{First: halves[0], Second: halves[1]}, nil
 }

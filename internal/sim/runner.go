@@ -91,7 +91,11 @@ func runJob[T any](j Job[T]) Result[T] {
 // failing on the first job error (in job order, so which error surfaces
 // does not depend on scheduling). TotalWrites sums the write counts.
 func CollectJobs[T any](jobs []Job[T], workers int) (values []T, totalWrites uint64, err error) {
-	results := RunJobs(jobs, workers)
+	return collectResults(RunJobs(jobs, workers))
+}
+
+// collectResults is CollectJobs over results already run.
+func collectResults[T any](results []Result[T]) (values []T, totalWrites uint64, err error) {
 	values = make([]T, len(results))
 	for i, r := range results {
 		if r.Err != nil {

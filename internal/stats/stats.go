@@ -26,13 +26,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += d * (x - w.mean)
 }
 
-// AddN incorporates the same observation n times.
-func (w *Welford) AddN(x float64, n uint64) {
-	for i := uint64(0); i < n; i++ {
-		w.Add(x)
-	}
-}
-
 // Count returns the number of observations.
 func (w *Welford) Count() uint64 { return w.n }
 
@@ -91,18 +84,6 @@ func WelfordOfCounts(counts []uint64) Welford {
 		w.Add(float64(c))
 	}
 	return w
-}
-
-// MeanOfCounts returns the mean of a slice of counts.
-func MeanOfCounts(counts []uint64) float64 {
-	if len(counts) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, c := range counts {
-		sum += float64(c)
-	}
-	return sum / float64(len(counts))
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of values using

@@ -46,17 +46,6 @@ func TestWelfordEmptyAndSingle(t *testing.T) {
 	}
 }
 
-func TestWelfordAddN(t *testing.T) {
-	var a, b Welford
-	a.AddN(3, 5)
-	for i := 0; i < 5; i++ {
-		b.Add(3)
-	}
-	if a.Mean() != b.Mean() || a.Variance() != b.Variance() || a.Count() != b.Count() {
-		t.Error("AddN(x,5) differs from five Add(x)")
-	}
-}
-
 func TestWelfordMerge(t *testing.T) {
 	data := []float64{1, 5, 2, 8, 9, 3, 3, 7, 0, 4}
 	var whole, left, right Welford
@@ -132,15 +121,6 @@ func TestCoVOfCounts(t *testing.T) {
 	}
 	if CoVOfCounts(nil) != 0 {
 		t.Error("empty counts should give 0")
-	}
-}
-
-func TestMeanOfCounts(t *testing.T) {
-	if MeanOfCounts(nil) != 0 {
-		t.Error("empty mean should be 0")
-	}
-	if got := MeanOfCounts([]uint64{1, 2, 3}); !almostEqual(got, 2, 1e-12) {
-		t.Errorf("mean = %v, want 2", got)
 	}
 }
 

@@ -354,7 +354,7 @@ func runRevive(t *testing.T, f Factory) {
 				break
 			}
 			res := rv.Write(pa, nextTag)
-			noteRelocations(t, osm, expected, pa, res.Relocations, res.Retry)
+			noteRelocations(t, osm, expected, pa, rv.LastRelocations(), res.Retry)
 			if !res.Retry {
 				expected[pa] = nextTag
 				rv.ResumePending()
@@ -382,7 +382,7 @@ func noteRelocations(t *testing.T, osm *osmodel.Model, expected map[uint64]uint6
 	t.Helper()
 	if !retired {
 		if len(relocs) != 0 {
-			t.Fatalf("relocations returned without a retirement")
+			t.Fatalf("LastRelocations is not empty after a Write that did not retire a page")
 		}
 		return
 	}
