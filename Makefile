@@ -53,7 +53,8 @@ microbench:
 	go test -bench=. -benchmem -run '^$$' ./...
 
 # Brief fuzzing pass over the checkpoint wire format, the engine
-# restore path, WL-Reviver's reboot-image decoder, the Start-Gap mapping
+# restore path, WL-Reviver's reboot-image decoder, the metrics counter
+# decoder, the Start-Gap mapping
 # algebra, the PCM device's incremental failure-horizon rescan, and
 # wlserved's write-body decoder and journal replay. Each
 # target's seed corpus lives in its package's testdata/fuzz/ and replays
@@ -67,6 +68,7 @@ fuzz:
 	go test ./internal/wear -fuzz FuzzSoftWearPageTable -fuzztime 10s
 	go test ./internal/sim -fuzz FuzzRestoreRejectsCorrupt -fuzztime 10s
 	go test ./internal/reviver -fuzz FuzzReviverRestore -fuzztime 10s
+	go test ./internal/obs -fuzz FuzzMetricsLoadState -fuzztime 10s
 	go test ./internal/pcm -fuzz FuzzHorizonSchedule -fuzztime 10s
 	go test ./internal/serve -fuzz FuzzWriteBody -fuzztime 10s
 	go test ./internal/serve -fuzz FuzzJournalReplay -fuzztime 10s

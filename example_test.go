@@ -75,3 +75,47 @@ func ExampleConfig() {
 	fmt.Printf("WL-Reviver extends lifetime: %v\n", revived > 2*bare)
 	// Output: WL-Reviver extends lifetime: true
 }
+
+// levelerOps is a custom sink: Observer's two methods, counting the
+// wear-leveling scheme's remapping events by kind and ignoring the rest.
+type levelerOps map[wlreviver.EventKind]uint64
+
+func (c levelerOps) Event(e wlreviver.Event) {
+	switch e.Kind {
+	case wlreviver.EventGapMoved, wlreviver.EventRegionSwapped,
+		wlreviver.EventDecoderRemapped, wlreviver.EventPageRelocated:
+		c[e.Kind]++
+	}
+}
+
+func (levelerOps) Snapshot(wlreviver.Snapshot) {}
+
+// A custom Observer sees every leveler's remaps through one Event
+// method; the kind tells them apart.
+func ExampleObserver() {
+	for _, lv := range []wlreviver.LevelerKind{wlreviver.LevelerStartGap, wlreviver.LevelerSecurityRefresh} {
+		cfg := wlreviver.DefaultConfig()
+		cfg.Blocks = 1 << 10
+		cfg.BlocksPerPage = 16
+		cfg.MeanEndurance = 1e9
+		cfg.Seed = 1
+		cfg.Leveler = lv
+		ops := levelerOps{}
+		cfg.Observer = ops
+		w, err := wlreviver.NewWorkload(wlreviver.WorkloadSpec{Kind: wlreviver.WorkloadUniform, Blocks: cfg.Blocks, Seed: 1})
+		if err != nil {
+			panic(err)
+		}
+		sys, err := wlreviver.New(cfg, w)
+		if err != nil {
+			panic(err)
+		}
+		sys.Run(100_000, nil)
+		for kind, n := range ops {
+			fmt.Println(kind, n)
+		}
+	}
+	// Output:
+	// gap_moved 1000
+	// region_swapped 500
+}

@@ -14,7 +14,7 @@ const ckptImportPath = "wlreviver/internal/ckpt"
 // byte — and Go's randomized map iteration order would leak into them.
 // Unlike ordered-map-output this rule needs no sink analysis: in a
 // serialization function every statement feeds the image, so the loop
-// itself is the finding. Iterate ckpt.KeysU64/ckpt.KeysString instead.
+// itself is the finding. Iterate ckpt.KeysU64 instead.
 // As in ordered-map-output, a function that calls into sort or slices
 // is exempt: the sanctioned fix collects keys by ranging the map once,
 // then sorts — that collection loop must not re-fire the rule. Other
@@ -27,7 +27,7 @@ func (*NoCkptMapOrder) Name() string { return "no-ckpt-map-order" }
 
 // Doc implements Rule.
 func (*NoCkptMapOrder) Doc() string {
-	return "serialization code (internal/ckpt, SaveState/encode funcs) must not range over maps; use ckpt.KeysU64/KeysString"
+	return "serialization code (internal/ckpt, SaveState/encode funcs) must not range over maps; use ckpt.KeysU64"
 }
 
 // Check implements Rule.
@@ -56,7 +56,7 @@ func (*NoCkptMapOrder) Check(f *File, report func(ast.Node, string, ...any)) {
 			if !ok || !isMapExpr(f, rng.X) {
 				return true
 			}
-			report(rng, "range over map in serialization code; iteration order leaks into checkpoint bytes — iterate ckpt.KeysU64/KeysString")
+			report(rng, "range over map in serialization code; iteration order leaks into checkpoint bytes — iterate ckpt.KeysU64")
 			return true
 		})
 	}

@@ -45,8 +45,8 @@ var engineMutators = map[string]bool{
 // may not call known engine mutators on module-internal types. The rule
 // is type-aware — it resolves the Observer interface from the loaded
 // tree's internal/obs package and checks implementations with
-// types.Implements — so renaming a method or embedding obs.Base cannot
-// dodge it. Packages without type information (or trees without an
+// types.Implements — so renaming a method or embedding another observer
+// cannot dodge it. Packages without type information (or trees without an
 // internal/obs package) are skipped rather than guessed at.
 type ObserverPurity struct{}
 

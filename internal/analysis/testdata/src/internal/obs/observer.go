@@ -2,20 +2,14 @@
 // whichever tree it analyzes — here the miniature fixture module.
 package obs
 
+// Event is the stand-in lifecycle event.
+type Event struct{ A, B uint64 }
+
 // Snapshot is the sample passed to Observer.Snapshot.
 type Snapshot struct{ Writes uint64 }
 
 // Observer is the stand-in event interface.
 type Observer interface {
-	BlockFailed(da, wear uint64)
+	Event(e Event)
 	Snapshot(s Snapshot)
 }
-
-// Base is a no-op Observer for embedding.
-type Base struct{}
-
-// BlockFailed implements Observer.
-func (Base) BlockFailed(da, wear uint64) {}
-
-// Snapshot implements Observer.
-func (Base) Snapshot(s Snapshot) {}

@@ -1,8 +1,7 @@
 // Fixture: observer-purity — a type implementing obs.Observer outside
 // internal/obs and internal/stats must not assign package-level state or
-// call engine mutators; embedding obs.Base (like real observers do) does
-// not hide the implementing type from the type-aware check. A type that
-// merely looks observer-ish is out of scope.
+// call engine mutators. A type that merely looks observer-ish is out of
+// scope.
 package sim
 
 import (
@@ -16,17 +15,16 @@ var droppedEvents uint64
 // failureLog is an observer with its own state (fine to mutate) plus
 // two purity violations.
 type failureLog struct {
-	obs.Base
 	count uint64
 	dev   *pcm.Device
 }
 
-// BlockFailed mutates its own field (pure), a package-level counter
-// (impure), and the engine (impure).
-func (l *failureLog) BlockFailed(da, wear uint64) {
+// Event mutates its own field (pure), a package-level counter (impure),
+// and the engine (impure).
+func (l *failureLog) Event(e obs.Event) {
 	l.count++
-	droppedEvents++ // want observer-purity "assigns to package-level droppedEvents"
-	l.dev.Write(da) // want observer-purity "calls engine mutator"
+	droppedEvents++  // want observer-purity "assigns to package-level droppedEvents"
+	l.dev.Write(e.A) // want observer-purity "calls engine mutator"
 }
 
 // Snapshot records why one impure site is exempt.
@@ -39,9 +37,9 @@ func (l *failureLog) Snapshot(s obs.Snapshot) {
 // writes are the engine's business, not this rule's.
 type tally struct{ total uint64 }
 
-// BlockFailed alone does not satisfy obs.Observer, so neither write is
-// a finding.
-func (t *tally) BlockFailed(da, wear uint64) {
+// Event alone does not satisfy obs.Observer, so neither write is a
+// finding.
+func (t *tally) Event(e obs.Event) {
 	droppedEvents++
 	t.total++
 }

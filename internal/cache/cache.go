@@ -94,7 +94,7 @@ func (c *Cache) Lookup(key uint64) bool {
 			c.age[i] = c.clock
 			c.hits++
 			if c.observer != nil {
-				c.observer.RemapCacheHit(key)
+				c.observer.Event(obs.Event{Kind: obs.RemapCacheHit, A: key})
 			}
 			return true
 		}
@@ -106,7 +106,7 @@ func (c *Cache) Lookup(key uint64) bool {
 	}
 	c.misses++
 	if c.observer != nil {
-		c.observer.RemapCacheMiss(key)
+		c.observer.Event(obs.Event{Kind: obs.RemapCacheMiss, A: key})
 	}
 	c.keys[victim] = key
 	c.valid[victim] = true

@@ -18,7 +18,7 @@
 // for each section by name and fails on any mismatch, so a reordered or
 // spliced file cannot partially apply. Determinism rules: every field is
 // written in declared order, and map contents must be emitted under a
-// sorted key order (use KeysU64 / KeysString) — the no-ckpt-map-order
+// sorted key order (use KeysU64) — the no-ckpt-map-order
 // wlvet rule enforces this for code in this package and in SaveState
 // methods.
 package ckpt
@@ -249,17 +249,6 @@ func KeysU64[V any](m map[uint64]V) []uint64 {
 	return keys
 }
 
-// KeysString returns m's keys sorted ascending — the required iteration
-// order for serializing any string-keyed map.
-func KeysString[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // Decoder reads a checkpoint image section by section. All read methods
 // share one sticky error: after the first failure every subsequent read
 // returns the zero value, so callers can decode a full section and check
@@ -460,15 +449,18 @@ func (d *Decoder) String() string {
 	return string(b)
 }
 
-// count reads an element count and validates it against the bytes still
-// available in the section at elemSize bytes per element — the guard
-// that keeps a corrupt count from turning into a huge allocation.
-func (d *Decoder) count(elemSize int) int {
+// Count reads an element count and validates it against the bytes still
+// available in the section, at no fewer than minElemBytes per element:
+// the guard that keeps a corrupt count from turning into a huge
+// allocation. A count that cannot fit records the sticky error and
+// reads as 0, so callers may size an allocation from it before checking
+// Err.
+func (d *Decoder) Count(minElemBytes int) int {
 	n := int(d.U32())
 	if d.err != nil {
 		return 0
 	}
-	if n*elemSize > len(d.sec)-d.secOff {
+	if n*minElemBytes > len(d.sec)-d.secOff {
 		d.fail("section %q: count %d exceeds payload", d.secName, n)
 		return 0
 	}
@@ -477,7 +469,7 @@ func (d *Decoder) count(elemSize int) int {
 
 // U64s reads a count-prefixed []uint64.
 func (d *Decoder) U64s() []uint64 {
-	n := d.count(8)
+	n := d.Count(8)
 	if d.err != nil {
 		return nil
 	}
@@ -491,7 +483,7 @@ func (d *Decoder) U64s() []uint64 {
 // restores (wear arrays, bitsets, chain arenas) decode in place with no
 // transient slice.
 func (d *Decoder) U64sInto(dst []uint64) {
-	n := d.count(8)
+	n := d.Count(8)
 	if d.err != nil {
 		return
 	}
@@ -514,7 +506,7 @@ func (d *Decoder) u64sFill(dst []uint64) {
 
 // U32s reads a count-prefixed []uint32.
 func (d *Decoder) U32s() []uint32 {
-	n := d.count(4)
+	n := d.Count(4)
 	b := d.take(4 * n)
 	if d.err != nil {
 		return nil
@@ -528,7 +520,7 @@ func (d *Decoder) U32s() []uint32 {
 
 // U16s reads a count-prefixed []uint16.
 func (d *Decoder) U16s() []uint16 {
-	n := d.count(2)
+	n := d.Count(2)
 	b := d.take(2 * n)
 	if d.err != nil {
 		return nil
@@ -542,7 +534,7 @@ func (d *Decoder) U16s() []uint16 {
 
 // I32s reads a count-prefixed []int32.
 func (d *Decoder) I32s() []int32 {
-	n := d.count(4)
+	n := d.Count(4)
 	b := d.take(4 * n)
 	if d.err != nil {
 		return nil
@@ -556,7 +548,7 @@ func (d *Decoder) I32s() []int32 {
 
 // F64s reads a count-prefixed []float64.
 func (d *Decoder) F64s() []float64 {
-	n := d.count(8)
+	n := d.Count(8)
 	b := d.take(8 * n)
 	if d.err != nil {
 		return nil
@@ -570,7 +562,7 @@ func (d *Decoder) F64s() []float64 {
 
 // Bools reads a count-prefixed []bool.
 func (d *Decoder) Bools() []bool {
-	n := d.count(1)
+	n := d.Count(1)
 	if d.err != nil {
 		return nil
 	}
@@ -584,7 +576,7 @@ func (d *Decoder) Bools() []bool {
 // MapU64 reads a map written by Encoder.MapU64. Keys must be strictly
 // ascending (the writer's sorted order); anything else is corruption.
 func (d *Decoder) MapU64() map[uint64]uint64 {
-	n := d.count(16)
+	n := d.Count(16)
 	if d.err != nil {
 		return nil
 	}

@@ -63,7 +63,7 @@ func (b *Backend) WriteRaw(da uint64) bool {
 func (b *Backend) markDead(da uint64) {
 	b.Dev.MarkDead(pcm.BlockID(da))
 	if b.Observer != nil {
-		b.Observer.BlockFailed(da, b.Dev.Wear(pcm.BlockID(da)))
+		b.Observer.Event(obs.Event{Kind: obs.BlockFailed, A: da, B: b.Dev.Wear(pcm.BlockID(da))})
 	}
 }
 

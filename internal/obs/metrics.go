@@ -1,11 +1,13 @@
 package obs
 
 import (
+	"fmt"
+
 	"wlreviver/internal/stats"
 )
 
-// Counter names used by Metrics for the typed events. Exported so tests
-// and reports can reference them without string literals.
+// Counter names: each Kind's counter and the snapshot count, as they
+// appear in Report, Counters and checkpoints.
 const (
 	CounterBlockFailed     = "block_failed"
 	CounterCellFailed      = "cell_failed"
@@ -20,33 +22,70 @@ const (
 	CounterSnapshots       = "snapshots"
 )
 
-// Metrics is the standard Observer: it accumulates named event counters,
-// the snapshot series, and the wear-at-death sample set. It is not safe
+// counterNames names Metrics' counter slots: one per Kind, then the
+// snapshot count in slot numKinds. Counters are named only when they
+// are reported or checkpointed.
+var counterNames = [numKinds + 1]string{
+	BlockFailed:     CounterBlockFailed,
+	CellFailed:      CounterCellFailed,
+	Revived:         CounterRevived,
+	RemapCacheHit:   CounterRemapCacheHit,
+	RemapCacheMiss:  CounterRemapCacheMiss,
+	GapMoved:        CounterGapMoved,
+	RegionSwapped:   CounterRegionSwapped,
+	DecoderRemapped: CounterDecoderRemapped,
+	PageRelocated:   CounterPageRelocated,
+	PageRetired:     CounterPageRetired,
+	numKinds:        CounterSnapshots,
+}
+
+// String returns the kind's counter name, e.g. "gap_moved".
+func (k Kind) String() string {
+	if k < numKinds {
+		return counterNames[k]
+	}
+	return fmt.Sprintf("Kind(%d)", uint8(k))
+}
+
+// counterSlot returns the counter slot a name denotes.
+func counterSlot(name string) (int, bool) {
+	for i, n := range counterNames {
+		if n == name {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// Metrics is the standard Observer: it counts events by Kind and keeps
+// the snapshot series and the wear-at-death sample set. It is not safe
 // for concurrent use — attach one Metrics per engine (the experiment
 // harness's Scale.Observe factory does exactly that).
 type Metrics struct {
-	counters  map[string]uint64
+	counters  [numKinds + 1]uint64 // indexed by Kind; slot numKinds counts snapshots
 	snapshots []Snapshot
 	deathWear []float64 // device wear of each block at death
 }
 
 // NewMetrics returns an empty accumulator.
-func NewMetrics() *Metrics {
-	return &Metrics{counters: make(map[string]uint64)}
+func NewMetrics() *Metrics { return &Metrics{} }
+
+// Counter returns a named counter's value (0 for a name it does not
+// keep).
+func (m *Metrics) Counter(name string) uint64 {
+	if i, ok := counterSlot(name); ok {
+		return m.counters[i]
+	}
+	return 0
 }
 
-// Add increments a named counter by n. Event methods use it with the
-// Counter* names; callers may add their own.
-func (m *Metrics) Add(name string, n uint64) { m.counters[name] += n }
-
-// Counter returns a named counter's value (0 when never incremented).
-func (m *Metrics) Counter(name string) uint64 { return m.counters[name] }
-
-// Counters returns a copy of all named counters.
+// Counters returns the nonzero counters by name.
 func (m *Metrics) Counters() map[string]uint64 {
-	out := make(map[string]uint64, len(m.counters))
-	for k, v := range m.counters {
-		out[k] = v
+	out := make(map[string]uint64)
+	for i, v := range m.counters {
+		if v != 0 {
+			out[counterNames[i]] = v
+		}
 	}
 	return out
 }
@@ -66,42 +105,17 @@ func (m *Metrics) LastSnapshot() (Snapshot, bool) {
 	return m.snapshots[len(m.snapshots)-1], true
 }
 
-// BlockFailed implements Observer.
-func (m *Metrics) BlockFailed(da uint64, wear uint64) {
-	m.Add(CounterBlockFailed, 1)
-	m.deathWear = append(m.deathWear, float64(wear))
+// Event implements Observer.
+func (m *Metrics) Event(e Event) {
+	m.counters[e.Kind]++
+	if e.Kind == BlockFailed {
+		m.deathWear = append(m.deathWear, float64(e.B))
+	}
 }
-
-// CellFailed implements Observer.
-func (m *Metrics) CellFailed(uint64, int) { m.Add(CounterCellFailed, 1) }
-
-// Revived implements Observer.
-func (m *Metrics) Revived(uint64, uint64) { m.Add(CounterRevived, 1) }
-
-// RemapCacheHit implements Observer.
-func (m *Metrics) RemapCacheHit(uint64) { m.Add(CounterRemapCacheHit, 1) }
-
-// RemapCacheMiss implements Observer.
-func (m *Metrics) RemapCacheMiss(uint64) { m.Add(CounterRemapCacheMiss, 1) }
-
-// GapMoved implements Observer.
-func (m *Metrics) GapMoved(int, uint64) { m.Add(CounterGapMoved, 1) }
-
-// RegionSwapped implements Observer.
-func (m *Metrics) RegionSwapped(uint64, uint64) { m.Add(CounterRegionSwapped, 1) }
-
-// DecoderRemapped implements Observer.
-func (m *Metrics) DecoderRemapped(uint64, uint64) { m.Add(CounterDecoderRemapped, 1) }
-
-// PageRelocated implements Observer.
-func (m *Metrics) PageRelocated(uint64, uint64) { m.Add(CounterPageRelocated, 1) }
-
-// PageRetired implements Observer.
-func (m *Metrics) PageRetired(uint64) { m.Add(CounterPageRetired, 1) }
 
 // Snapshot implements Observer.
 func (m *Metrics) Snapshot(s Snapshot) {
-	m.Add(CounterSnapshots, 1)
+	m.counters[numKinds]++
 	m.snapshots = append(m.snapshots, s)
 }
 
@@ -177,7 +191,7 @@ type HistogramData struct {
 	Counts []uint64 `json:"counts"`
 }
 
-// Report is Metrics' serialisable form: named event counters, the
+// Report is Metrics' serialisable form: the nonzero counters by name, the
 // snapshot series, and the wear/latency distribution summaries. Its
 // encoding/json output is deterministic — map keys marshal sorted — so
 // two identical event streams produce byte-identical JSON.

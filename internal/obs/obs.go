@@ -1,7 +1,8 @@
 // Package obs is the simulator's deterministic observability layer:
-// typed engine lifecycle events and periodic metrics snapshots, paced
-// exclusively in simulated writes — never wall-clock time — so an
-// observed run is exactly as reproducible as an unobserved one.
+// engine lifecycle events, one Event type tagged with a Kind, and
+// periodic metrics snapshots, paced exclusively in simulated writes —
+// never wall-clock time — so an observed run is exactly as reproducible
+// as an unobserved one.
 //
 // The layer is zero-cost when disabled: every probe site in the engine,
 // the device, the memory controller, the remap cache, the levelers and
@@ -51,84 +52,66 @@ type Snapshot struct {
 	WearCoV float64 `json:"wear_cov"`
 }
 
-// Observer receives typed engine lifecycle events. Implementations are
-// invoked synchronously from the simulation loop of a single engine and
-// need not be safe for concurrent use; the experiment runner attaches a
-// distinct observer to every engine it fans out. Observers must not
-// mutate simulation state — the engine's output is pinned byte-identical
-// with and without observation.
+// Kind names an engine lifecycle event. What an Event's A and B carry
+// depends on the kind; each constant's comment says.
+type Kind uint8
+
+const (
+	// BlockFailed: the ECC layer declared a device block uncorrectable.
+	// A is the block's device address, B its write count at death.
+	BlockFailed Kind = iota
+	// CellFailed: a PCM cell wore out. A is the block's device address,
+	// B the block's failed-cell total after this failure. Blocks absorb
+	// many cell failures before BlockFailed (ECP6 corrects six per block).
+	CellFailed
+	// Revived: a failed block was linked to a virtual shadow PA, the
+	// WL-Reviver framework's fundamental recovery step. A is the failed
+	// block's device address, B the shadow PA.
+	Revived
+	// RemapCacheHit and RemapCacheMiss: one remap-cache lookup. A is the
+	// key, a device address; B is unused.
+	RemapCacheHit
+	RemapCacheMiss
+	// GapMoved: one Start-Gap gap movement. A is the gap's device address
+	// after the move; under regioned Start-Gap the region follows from it.
+	// B is unused.
+	GapMoved
+	// RegionSwapped: one Security Refresh swap of the blocks at device
+	// addresses A and B.
+	RegionSwapped
+	// DecoderRemapped: one WoLFRaM programmable-decoder remap, which
+	// swapped the blocks at device addresses A and B.
+	DecoderRemapped
+	// PageRelocated: one SoftWear page relocation. The page in device
+	// frame A moved to frame B, and the page in B moved to A.
+	PageRelocated
+	// PageRetired: the OS retired page A after a reported access
+	// failure. B is unused.
+	PageRetired
+
+	numKinds
+)
+
+// Event is one engine lifecycle event: its kind and two words whose
+// meaning the kind documents.
+type Event struct {
+	Kind Kind
+	A, B uint64
+}
+
+// Observer receives engine lifecycle events and periodic snapshots.
+// Implementations are invoked synchronously from the simulation loop of
+// a single engine and need not be safe for concurrent use; the
+// experiment runner attaches a distinct observer to every engine it
+// fans out. Observers must not mutate simulation state — the engine's
+// output is pinned byte-identical with and without observation.
 //
-// Embed Base to implement only the events of interest, or use Metrics
-// for a ready-made accumulator.
+// Metrics is the ready-made accumulator; Recorder buffers events for
+// later replay.
 type Observer interface {
-	// BlockFailed fires when the ECC layer declares a device block
-	// uncorrectable; wear is the block's write count at death.
-	BlockFailed(da uint64, wear uint64)
-	// CellFailed fires when a PCM cell wears out; failedCells is the
-	// block's total after this failure. Blocks absorb many cell failures
-	// before BlockFailed (ECP6 corrects six per block).
-	CellFailed(da uint64, failedCells int)
-	// Revived fires when a failed block is linked to a virtual shadow PA
-	// (the WL-Reviver framework's fundamental recovery step).
-	Revived(da uint64, shadowPA uint64)
-	// RemapCacheHit and RemapCacheMiss fire per remap-cache lookup.
-	RemapCacheHit(key uint64)
-	RemapCacheMiss(key uint64)
-	// GapMoved fires per Start-Gap gap movement; region is the region
-	// index (0 for the single-region scheme) and gapDA the gap's device
-	// address after the move.
-	GapMoved(region int, gapDA uint64)
-	// RegionSwapped fires per Security Refresh block swap between device
-	// addresses a and b.
-	RegionSwapped(a, b uint64)
-	// DecoderRemapped fires per WoLFRaM programmable-decoder remap: the
-	// decoder swapped the blocks at device addresses a and b.
-	DecoderRemapped(a, b uint64)
-	// PageRelocated fires per SoftWear page relocation: the page occupying
-	// device frame oldFrame moved to frame newFrame (and vice versa).
-	PageRelocated(oldFrame, newFrame uint64)
-	// PageRetired fires when the OS retires a page after a reported
-	// access failure.
-	PageRetired(page uint64)
+	// Event fires as each lifecycle event happens.
+	Event(e Event)
 	// Snapshot fires every SnapshotEvery simulated writes with a
 	// cross-layer state sample.
 	Snapshot(s Snapshot)
 }
-
-// Base is a no-op Observer; embed it to implement a subset of events.
-type Base struct{}
-
-// BlockFailed implements Observer.
-func (Base) BlockFailed(uint64, uint64) {}
-
-// CellFailed implements Observer.
-func (Base) CellFailed(uint64, int) {}
-
-// Revived implements Observer.
-func (Base) Revived(uint64, uint64) {}
-
-// RemapCacheHit implements Observer.
-func (Base) RemapCacheHit(uint64) {}
-
-// RemapCacheMiss implements Observer.
-func (Base) RemapCacheMiss(uint64) {}
-
-// GapMoved implements Observer.
-func (Base) GapMoved(int, uint64) {}
-
-// RegionSwapped implements Observer.
-func (Base) RegionSwapped(uint64, uint64) {}
-
-// DecoderRemapped implements Observer.
-func (Base) DecoderRemapped(uint64, uint64) {}
-
-// PageRelocated implements Observer.
-func (Base) PageRelocated(uint64, uint64) {}
-
-// PageRetired implements Observer.
-func (Base) PageRetired(uint64) {}
-
-// Snapshot implements Observer.
-func (Base) Snapshot(Snapshot) {}
-
-var _ Observer = Base{}

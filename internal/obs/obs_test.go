@@ -8,16 +8,16 @@ import (
 // feed drives one fixed event stream into an observer.
 func feed(o Observer) {
 	for i := 0; i < 5; i++ {
-		o.CellFailed(uint64(i), i+1)
+		o.Event(Event{Kind: CellFailed, A: uint64(i), B: uint64(i + 1)})
 	}
-	o.BlockFailed(3, 900)
-	o.BlockFailed(7, 1100)
-	o.Revived(3, 40)
-	o.RemapCacheHit(3)
-	o.RemapCacheMiss(7)
-	o.GapMoved(0, 12)
-	o.RegionSwapped(1, 2)
-	o.PageRetired(0)
+	o.Event(Event{Kind: BlockFailed, A: 3, B: 900})
+	o.Event(Event{Kind: BlockFailed, A: 7, B: 1100})
+	o.Event(Event{Kind: Revived, A: 3, B: 40})
+	o.Event(Event{Kind: RemapCacheHit, A: 3})
+	o.Event(Event{Kind: RemapCacheMiss, A: 7})
+	o.Event(Event{Kind: GapMoved, A: 12})
+	o.Event(Event{Kind: RegionSwapped, A: 1, B: 2})
+	o.Event(Event{Kind: PageRetired})
 	o.Snapshot(Snapshot{Writes: 100, AccessRatio: 1.5})
 	o.Snapshot(Snapshot{Writes: 200, AccessRatio: 2.5})
 }
@@ -113,17 +113,50 @@ func TestReportEmptyMetrics(t *testing.T) {
 
 func TestWearAtDeathHistogramDegenerate(t *testing.T) {
 	m := NewMetrics()
-	m.BlockFailed(1, 500)
-	m.BlockFailed(2, 500)
+	m.Event(Event{Kind: BlockFailed, A: 1, B: 500})
+	m.Event(Event{Kind: BlockFailed, A: 2, B: 500})
 	h := m.WearAtDeathHistogram(8)
 	if h == nil || h.Total() != 2 {
 		t.Fatalf("degenerate histogram = %+v", h)
 	}
 }
 
-// TestBaseIsNoOp pins that Base satisfies Observer and does nothing, so
-// user observers can embed it and override a subset of events.
-func TestBaseIsNoOp(t *testing.T) {
-	var o Observer = Base{}
-	feed(o) // must not panic
+// TestCounterNames pins the one name table: each Kind's name is its
+// Counter* constant, the last slot names the snapshot count, and no two
+// slots share a name (a checkpoint or report keyed by name would merge
+// them).
+func TestCounterNames(t *testing.T) {
+	want := map[Kind]string{
+		BlockFailed:     CounterBlockFailed,
+		CellFailed:      CounterCellFailed,
+		Revived:         CounterRevived,
+		RemapCacheHit:   CounterRemapCacheHit,
+		RemapCacheMiss:  CounterRemapCacheMiss,
+		GapMoved:        CounterGapMoved,
+		RegionSwapped:   CounterRegionSwapped,
+		DecoderRemapped: CounterDecoderRemapped,
+		PageRelocated:   CounterPageRelocated,
+		PageRetired:     CounterPageRetired,
+	}
+	if len(want) != int(numKinds) {
+		t.Fatalf("test covers %d kinds, the enum has %d", len(want), numKinds)
+	}
+	for k, name := range want {
+		if k.String() != name || counterNames[k] != name {
+			t.Errorf("kind %d named %q / %q, want %q", k, k.String(), counterNames[k], name)
+		}
+	}
+	if counterNames[numKinds] != CounterSnapshots {
+		t.Errorf("snapshot slot named %q, want %q", counterNames[numKinds], CounterSnapshots)
+	}
+	seen := make(map[string]bool)
+	for i, name := range counterNames {
+		if name == "" || seen[name] {
+			t.Errorf("slot %d name %q is empty or repeated", i, name)
+		}
+		seen[name] = true
+	}
+	if got := numKinds.String(); got != "Kind(10)" {
+		t.Errorf("out-of-range kind String() = %q", got)
+	}
 }

@@ -13,48 +13,49 @@ package obs
 // merges and to the merging goroutine during Replay; it needs no
 // locking, exactly like every other Observer.
 type Recorder struct {
-	events []event
+	events []Event
 	snaps  []Snapshot
 }
 
-// eventKind discriminates the buffered event payloads.
-type eventKind uint8
+// snapshotMark is the Kind of a buffered snapshot's place in the event
+// order; its A indexes snaps. It lies past every Kind, so no Observer
+// ever receives it.
+const snapshotMark = numKinds
+
+// space is the identifier space an Event field lives in, which decides
+// the offset Replay adds to it.
+type space uint8
 
 const (
-	evBlockFailed eventKind = iota
-	evCellFailed
-	evRevived
-	evRemapCacheHit
-	evRemapCacheMiss
-	evGapMoved
-	evRegionSwapped
-	evDecoderRemapped
-	evPageRelocated
-	evPageRetired
-	evSnapshot
+	spaceNone space = iota // a wear or failure count: passed through
+	spaceDA                // a device address (or Revived's shadow PA)
+	spacePage              // an OS page or a SoftWear device frame
 )
 
-// event is one buffered observation: two address/value words plus one
-// small integer, interpreted per kind. Field order packs the struct to
-// 24 bytes (a merge round at paper scale buffers millions of these).
-type event struct {
-	a, b uint64
-	i    int32
-	kind eventKind
+// fieldSpaces gives, per Kind, the spaces of A and B. A field a kind
+// leaves unused is spaceNone, so it replays as recorded.
+var fieldSpaces = [numKinds][2]space{
+	BlockFailed:     {spaceDA, spaceNone},
+	CellFailed:      {spaceDA, spaceNone},
+	Revived:         {spaceDA, spaceDA},
+	RemapCacheHit:   {spaceDA, spaceNone},
+	RemapCacheMiss:  {spaceDA, spaceNone},
+	GapMoved:        {spaceDA, spaceNone},
+	RegionSwapped:   {spaceDA, spaceDA},
+	DecoderRemapped: {spaceDA, spaceDA},
+	PageRelocated:   {spacePage, spacePage},
+	PageRetired:     {spacePage, spaceNone},
 }
 
 // Rebase shifts shard-local identifiers into the enclosing chip's global
-// spaces during Replay. A shard simulates device addresses, pages and
-// leveler regions starting at zero; the sharded engine passes the
-// shard's base offsets so the replayed stream reads as one chip.
+// spaces during Replay. A shard simulates device addresses and pages
+// starting at zero; the sharded engine passes the shard's base offsets
+// so the replayed stream reads as one chip.
 type Rebase struct {
-	// DA is added to every device address (block failures, cell
-	// failures, revives, gap and swap addresses, remap-cache keys).
+	// DA is added to every device address.
 	DA uint64
 	// Page is added to every OS page number.
 	Page uint64
-	// Region is added to every leveler region index.
-	Region int
 }
 
 // Len returns the number of buffered events.
@@ -67,91 +68,29 @@ func (r *Recorder) Reset() {
 }
 
 // Replay delivers the buffered events to o in recording order, rebasing
-// shard-local identifiers through rb. The buffer is left intact; callers
-// pair Replay with Reset.
+// shard-local identifiers through rb. Snapshots carry no addresses, so
+// they replay unrebased. The buffer is left intact; callers pair Replay
+// with Reset.
 func (r *Recorder) Replay(o Observer, rb Rebase) {
+	offset := [...]uint64{spaceNone: 0, spaceDA: rb.DA, spacePage: rb.Page}
 	for _, e := range r.events {
-		switch e.kind {
-		case evBlockFailed:
-			o.BlockFailed(e.a+rb.DA, e.b)
-		case evCellFailed:
-			o.CellFailed(e.a+rb.DA, int(e.i))
-		case evRevived:
-			o.Revived(e.a+rb.DA, e.b+rb.DA)
-		case evRemapCacheHit:
-			o.RemapCacheHit(e.a + rb.DA)
-		case evRemapCacheMiss:
-			o.RemapCacheMiss(e.a + rb.DA)
-		case evGapMoved:
-			o.GapMoved(int(e.i)+rb.Region, e.a+rb.DA)
-		case evRegionSwapped:
-			o.RegionSwapped(e.a+rb.DA, e.b+rb.DA)
-		case evDecoderRemapped:
-			o.DecoderRemapped(e.a+rb.DA, e.b+rb.DA)
-		case evPageRelocated:
-			o.PageRelocated(e.a+rb.Page, e.b+rb.Page)
-		case evPageRetired:
-			o.PageRetired(e.a + rb.Page)
-		case evSnapshot:
-			o.Snapshot(r.snaps[e.i])
+		if e.Kind == snapshotMark {
+			o.Snapshot(r.snaps[e.A])
+			continue
 		}
+		sp := fieldSpaces[e.Kind]
+		e.A += offset[sp[0]]
+		e.B += offset[sp[1]]
+		o.Event(e)
 	}
 }
 
-// BlockFailed implements Observer.
-func (r *Recorder) BlockFailed(da uint64, wear uint64) {
-	r.events = append(r.events, event{kind: evBlockFailed, a: da, b: wear})
-}
+// Event implements Observer.
+func (r *Recorder) Event(e Event) { r.events = append(r.events, e) }
 
-// CellFailed implements Observer.
-func (r *Recorder) CellFailed(da uint64, failedCells int) {
-	r.events = append(r.events, event{kind: evCellFailed, a: da, i: int32(failedCells)})
-}
-
-// Revived implements Observer.
-func (r *Recorder) Revived(da uint64, shadowPA uint64) {
-	r.events = append(r.events, event{kind: evRevived, a: da, b: shadowPA})
-}
-
-// RemapCacheHit implements Observer.
-func (r *Recorder) RemapCacheHit(key uint64) {
-	r.events = append(r.events, event{kind: evRemapCacheHit, a: key})
-}
-
-// RemapCacheMiss implements Observer.
-func (r *Recorder) RemapCacheMiss(key uint64) {
-	r.events = append(r.events, event{kind: evRemapCacheMiss, a: key})
-}
-
-// GapMoved implements Observer.
-func (r *Recorder) GapMoved(region int, gapDA uint64) {
-	r.events = append(r.events, event{kind: evGapMoved, a: gapDA, i: int32(region)})
-}
-
-// RegionSwapped implements Observer.
-func (r *Recorder) RegionSwapped(a, b uint64) {
-	r.events = append(r.events, event{kind: evRegionSwapped, a: a, b: b})
-}
-
-// DecoderRemapped implements Observer.
-func (r *Recorder) DecoderRemapped(a, b uint64) {
-	r.events = append(r.events, event{kind: evDecoderRemapped, a: a, b: b})
-}
-
-// PageRelocated implements Observer.
-func (r *Recorder) PageRelocated(oldFrame, newFrame uint64) {
-	r.events = append(r.events, event{kind: evPageRelocated, a: oldFrame, b: newFrame})
-}
-
-// PageRetired implements Observer.
-func (r *Recorder) PageRetired(page uint64) {
-	r.events = append(r.events, event{kind: evPageRetired, a: page})
-}
-
-// Snapshot implements Observer. Snapshots carry no addresses, so Replay
-// forwards them unrebased.
+// Snapshot implements Observer.
 func (r *Recorder) Snapshot(s Snapshot) {
-	r.events = append(r.events, event{kind: evSnapshot, i: int32(len(r.snaps))})
+	r.events = append(r.events, Event{Kind: snapshotMark, A: uint64(len(r.snaps))})
 	r.snaps = append(r.snaps, s)
 }
 

@@ -7,63 +7,56 @@ import (
 
 // logObserver renders each delivered event as one line, so replay tests
 // can compare exact sequences.
-type logObserver struct {
-	Base
-	lines []string
+type logObserver struct{ lines []string }
+
+func (l *logObserver) Event(e Event) {
+	l.lines = append(l.lines, fmt.Sprintf("%s %d %d", e.Kind, e.A, e.B))
 }
 
-func (l *logObserver) BlockFailed(da, wear uint64)   { l.add("block %d %d", da, wear) }
-func (l *logObserver) CellFailed(da uint64, n int)   { l.add("cell %d %d", da, n) }
-func (l *logObserver) Revived(da, shadow uint64)     { l.add("revived %d %d", da, shadow) }
-func (l *logObserver) RemapCacheHit(key uint64)      { l.add("hit %d", key) }
-func (l *logObserver) RemapCacheMiss(key uint64)     { l.add("miss %d", key) }
-func (l *logObserver) GapMoved(region int, g uint64) { l.add("gap %d %d", region, g) }
-func (l *logObserver) RegionSwapped(a, b uint64)     { l.add("swap %d %d", a, b) }
-func (l *logObserver) DecoderRemapped(a, b uint64)   { l.add("remap %d %d", a, b) }
-func (l *logObserver) PageRelocated(o, n uint64)     { l.add("reloc %d %d", o, n) }
-func (l *logObserver) PageRetired(page uint64)       { l.add("retired %d", page) }
-func (l *logObserver) Snapshot(s Snapshot)           { l.add("snap %d", s.Writes) }
-
-func (l *logObserver) add(format string, args ...any) {
-	l.lines = append(l.lines, fmt.Sprintf(format, args...))
+func (l *logObserver) Snapshot(s Snapshot) {
+	l.lines = append(l.lines, fmt.Sprintf("snap %d", s.Writes))
 }
 
-// TestRecorderReplayRebases drives one of each event through a Recorder
-// and checks the replayed stream: recording order preserved, device
-// addresses, pages and regions shifted by the rebase offsets, snapshots
-// and wear counts passed through untouched.
+// TestRecorderReplayRebases drives one event of each kind through a
+// Recorder, with a snapshot between them, and checks the replayed
+// stream: recording order preserved, device addresses shifted by the DA
+// offset, pages and frames by the page offset, and wear and failure
+// counts, unused fields and snapshots passed through untouched.
 func TestRecorderReplayRebases(t *testing.T) {
+	cases := []struct {
+		in   Event
+		want string
+	}{
+		{Event{Kind: BlockFailed, A: 3, B: 99}, "block_failed 103 99"},
+		{Event{Kind: CellFailed, A: 4, B: 7}, "cell_failed 104 7"},
+		{Event{Kind: Revived, A: 5, B: 6}, "revived 105 106"},
+		{Event{Kind: RemapCacheHit, A: 8}, "remap_cache_hit 108 0"},
+		{Event{Kind: RemapCacheMiss, A: 9}, "remap_cache_miss 109 0"},
+		{Event{Kind: GapMoved, A: 10}, "gap_moved 110 0"},
+		{Event{Kind: RegionSwapped, A: 11, B: 12}, "region_swapped 111 112"},
+		{Event{Kind: DecoderRemapped, A: 13, B: 14}, "decoder_remapped 113 114"},
+		{Event{Kind: PageRelocated, A: 3, B: 5}, "page_relocated 23 25"},
+		{Event{Kind: PageRetired, A: 2}, "page_retired 22 0"},
+	}
+	if len(cases) != int(numKinds) {
+		t.Fatalf("table covers %d kinds, the enum has %d", len(cases), numKinds)
+	}
 	r := &Recorder{}
-	r.BlockFailed(3, 99)
-	r.CellFailed(4, 7)
-	r.Revived(5, 6)
-	r.RemapCacheHit(8)
-	r.RemapCacheMiss(9)
-	r.GapMoved(1, 10)
-	r.RegionSwapped(11, 12)
-	r.DecoderRemapped(13, 14)
-	r.PageRelocated(3, 5)
-	r.PageRetired(2)
-	r.Snapshot(Snapshot{Writes: 1234})
-	if r.Len() != 11 {
-		t.Fatalf("Len() = %d, want 11", r.Len())
+	var want []string
+	for i, c := range cases {
+		if i == len(cases)/2 {
+			r.Snapshot(Snapshot{Writes: 1234})
+			want = append(want, "snap 1234")
+		}
+		r.Event(c.in)
+		want = append(want, c.want)
+	}
+	if r.Len() != len(want) {
+		t.Fatalf("Len() = %d, want %d", r.Len(), len(want))
 	}
 
 	var got logObserver
-	r.Replay(&got, Rebase{DA: 100, Page: 20, Region: 4})
-	want := []string{
-		"block 103 99",
-		"cell 104 7",
-		"revived 105 106",
-		"hit 108",
-		"miss 109",
-		"gap 5 110",
-		"swap 111 112",
-		"remap 113 114",
-		"reloc 23 25",
-		"retired 22",
-		"snap 1234",
-	}
+	r.Replay(&got, Rebase{DA: 100, Page: 20})
 	if len(got.lines) != len(want) {
 		t.Fatalf("replayed %d events, want %d: %v", len(got.lines), len(want), got.lines)
 	}
@@ -74,7 +67,7 @@ func TestRecorderReplayRebases(t *testing.T) {
 	}
 
 	// Replay leaves the buffer intact; Reset empties it.
-	if r.Len() != 11 {
+	if r.Len() != len(want) {
 		t.Fatalf("Replay consumed the buffer: Len() = %d", r.Len())
 	}
 	r.Reset()
@@ -94,9 +87,10 @@ func TestRecorderZeroRebase(t *testing.T) {
 	r := &Recorder{}
 	var direct, relayed logObserver
 	feed := func(o Observer) {
-		o.BlockFailed(1, 2)
-		o.GapMoved(0, 3)
-		o.PageRetired(4)
+		o.Event(Event{Kind: BlockFailed, A: 1, B: 2})
+		o.Event(Event{Kind: GapMoved, A: 3})
+		o.Snapshot(Snapshot{Writes: 5})
+		o.Event(Event{Kind: PageRetired, A: 4})
 	}
 	feed(&direct)
 	feed(r)

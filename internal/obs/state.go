@@ -2,18 +2,38 @@ package obs
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"wlreviver/internal/ckpt"
 )
 
-// SaveState serializes the accumulator: counters (sorted by name), the
-// snapshot series and the wear-at-death samples.
+// slotsByName lists the counter slots in name order, the order
+// checkpoints store them in.
+var slotsByName = func() []int {
+	slots := make([]int, len(counterNames))
+	for i := range slots {
+		slots[i] = i
+	}
+	slices.SortFunc(slots, func(a, b int) int { return strings.Compare(counterNames[a], counterNames[b]) })
+	return slots
+}()
+
+// SaveState serializes the accumulator: the nonzero counters sorted by
+// name, the snapshot series and the wear-at-death samples.
 func (m *Metrics) SaveState(e *ckpt.Encoder) {
-	names := ckpt.KeysString(m.counters)
-	e.U32(uint32(len(names)))
-	for _, name := range names {
-		e.String(name)
-		e.U64(m.counters[name])
+	n := 0
+	for _, v := range m.counters {
+		if v != 0 {
+			n++
+		}
+	}
+	e.U32(uint32(n))
+	for _, i := range slotsByName {
+		if v := m.counters[i]; v != 0 {
+			e.String(counterNames[i])
+			e.U64(v)
+		}
 	}
 	e.U32(uint32(len(m.snapshots)))
 	for _, s := range m.snapshots {
@@ -35,16 +55,14 @@ func (m *Metrics) SaveState(e *ckpt.Encoder) {
 }
 
 // LoadState restores state written by SaveState, replacing the
-// accumulator's contents.
+// accumulator's contents. Counters must be known, nonzero and in
+// strictly ascending name order, as SaveState writes them.
 func (m *Metrics) LoadState(dec *ckpt.Decoder) error {
-	nCounters := int(dec.U32())
+	nCounters := dec.Count(4 + 8) // a name's length prefix and the value
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	if nCounters > 1<<20 {
-		return fmt.Errorf("obs: checkpoint counter count %d implausible", nCounters)
-	}
-	counters := make(map[string]uint64, nCounters)
+	var counters [numKinds + 1]uint64
 	prev := ""
 	for i := 0; i < nCounters; i++ {
 		name := dec.String()
@@ -56,14 +74,18 @@ func (m *Metrics) LoadState(dec *ckpt.Decoder) error {
 			return fmt.Errorf("obs: checkpoint counters out of order")
 		}
 		prev = name
-		counters[name] = v
+		slot, ok := counterSlot(name)
+		if !ok {
+			return fmt.Errorf("obs: checkpoint counter %q unknown", name)
+		}
+		if v == 0 {
+			return fmt.Errorf("obs: checkpoint counter %q is zero", name)
+		}
+		counters[slot] = v
 	}
-	nSnaps := int(dec.U32())
-	if dec.Err() != nil {
-		return dec.Err()
-	}
-	if nSnaps*96 > 1<<32 { // each snapshot is 96 payload bytes
-		return fmt.Errorf("obs: checkpoint snapshot count %d implausible", nSnaps)
+	nSnaps := dec.Count(13 * 8) // thirteen 8-byte fields per snapshot
+	if err := dec.Err(); err != nil {
+		return err
 	}
 	snapshots := make([]Snapshot, nSnaps)
 	for i := range snapshots {

@@ -137,7 +137,7 @@ func (m *Model) ReportFailure(pa uint64) (reservedPAs []uint64, copies []Relocat
 	m.retired[page] = true
 	m.retiredCnt++
 	if m.observer != nil {
-		m.observer.PageRetired(page)
+		m.observer.Event(obs.Event{Kind: obs.PageRetired, A: page})
 	}
 
 	reservedPAs = make([]uint64, m.blocksPerPage)

@@ -378,7 +378,7 @@ func (d *Device) writeChecked(b BlockID) int {
 			d.fails[uint64(b)] = fs
 			d.nextFail[b] = t
 			if d.observer != nil {
-				d.observer.CellFailed(uint64(b), int(fs.cells))
+				d.observer.Event(obs.Event{Kind: obs.CellFailed, A: uint64(b), B: uint64(fs.cells)})
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package reviver
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -236,6 +237,40 @@ func TestLoadStateRejectsOutOfRangeArena(t *testing.T) {
 		}
 		if err := dst.LoadState(d); err == nil {
 			t.Errorf("%s out of range: checkpoint accepted", name)
+		}
+	}
+}
+
+// TestLoadStateBoundsCounts: a pending-op or pending-value count the
+// section's bytes cannot hold is refused before it sizes an allocation.
+func TestLoadStateBoundsCounts(t *testing.T) {
+	h := newHarness(t, harnessOpts{blocks: 64, blocksPerPage: 16, endurance: 1e9, seed: 23})
+	for name, counts := range map[string][]uint32{
+		"pending ops":    {1 << 20},
+		"pending values": {0, 1 << 20},
+	} {
+		e := ckpt.NewEncoder()
+		e.Begin("reviver")
+		encodeArena(e, nil, noNode)
+		for _, n := range counts {
+			e.U32(n)
+		}
+		e.U64(0)
+		e.End()
+		d, err := ckpt.NewDecoder(e.Finish())
+		if err != nil || d.Section("reviver") != nil {
+			t.Fatalf("%s: image is not well framed", name)
+		}
+		rv, err := New(Config{}, h.lv, h.be, h.os)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err = rv.LoadState(d)
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; err == nil || n >= 1<<20 {
+			t.Errorf("%s: LoadState = %v after allocating %d bytes; want an error and under 1 MiB", name, err, n)
 		}
 	}
 }

@@ -334,7 +334,7 @@ func (r *Reviver) link(da uint64, idx uint32) {
 		r.cfg.RemapCache.Invalidate(da)
 	}
 	if r.cfg.Observer != nil {
-		r.cfg.Observer.Revived(da, r.nodes[idx].pa)
+		r.cfg.Observer.Event(obs.Event{Kind: obs.Revived, A: da, B: r.nodes[idx].pa})
 	}
 }
 

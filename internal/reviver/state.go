@@ -51,12 +51,9 @@ func (r *Reviver) LoadState(dec *ckpt.Decoder) error {
 	if err != nil {
 		return err
 	}
-	nPend := int(dec.U32())
+	nPend := dec.Count(3*8 + 2) // three 8-byte words and two bools per op
 	if dec.Err() != nil {
 		return dec.Err()
-	}
-	if nPend*18 > 1<<30 { // each pending op is 18 payload bytes
-		return fmt.Errorf("reviver: checkpoint pending count %d implausible", nPend)
 	}
 	pending := make([]pendingOp, nPend)
 	for i := range pending {
@@ -68,7 +65,7 @@ func (r *Reviver) LoadState(dec *ckpt.Decoder) error {
 			hasHead: dec.Bool(),
 		}
 	}
-	nVals := int(dec.U32())
+	nVals := dec.Count(2*8 + 1) // entry, tag and a bool per value
 	if dec.Err() != nil {
 		return dec.Err()
 	}

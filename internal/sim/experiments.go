@@ -731,12 +731,9 @@ func (h *table2Harness) load(dec *ckpt.Decoder) error {
 	prevReq := dec.U64()
 	prevAcc := dec.U64()
 	ratioIdx := dec.U64()
-	n := int(dec.U32())
+	n := dec.Count(3*8 + 2*4 + 1) // three floats, two string prefixes, a bool
 	if err := dec.Err(); err != nil {
 		return err
-	}
-	if n > 1<<16 {
-		return fmt.Errorf("sim: checkpoint cell count %d implausible", n)
 	}
 	cells := make([]Table2Cell, n)
 	for i := range cells {

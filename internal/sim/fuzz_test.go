@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
+	"wlreviver/internal/ckpt"
 	"wlreviver/internal/trace"
 )
 
@@ -59,4 +61,31 @@ func FuzzRestoreRejectsCorrupt(f *testing.F) {
 			t.Fatalf("accepted restore left engine un-checkpointable: %v", err)
 		}
 	})
+}
+
+// TestTable2HarnessBoundsCellCount: a cell count the section's bytes
+// cannot hold is refused before it sizes an allocation.
+func TestTable2HarnessBoundsCellCount(t *testing.T) {
+	e := ckpt.NewEncoder()
+	e.Begin("harness")
+	e.Bool(false) // done
+	e.U64(0)      // prevReq
+	e.U64(0)      // prevAcc
+	e.U64(0)      // ratioIdx
+	e.U32(1 << 16)
+	e.U64(0)
+	e.End()
+	img := e.Finish()
+	dec, err := ckpt.NewDecoder(img)
+	if err != nil || dec.Section("harness") != nil {
+		t.Fatal("image is not well framed")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var h table2Harness
+	err = h.load(dec)
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; err == nil || n >= 1<<20 {
+		t.Fatalf("load = %v after allocating %d bytes; want an error and under 1 MiB", err, n)
+	}
 }

@@ -103,11 +103,10 @@ type ShardedEngine struct {
 	snapEvery uint64
 	nextSnap  uint64
 
-	// Rebase strides: each shard's device, page and leveler-region
-	// spaces are offset by shard × stride when its events replay.
+	// Rebase strides: each shard's device and page spaces are offset
+	// by shard × stride when its events replay.
 	devStride  uint64
 	pageStride uint64
-	regStride  int
 }
 
 // NewShardedEngine builds the sharded chip. cfg describes the whole
@@ -192,17 +191,6 @@ func NewShardedEngine(sc ShardedConfig, cfg Config, newGen func(shard uint64, sh
 	}
 	se.devStride = se.shards[0].dev.NumBlocks()
 	se.pageStride = shardBlocks / cfg.BlocksPerPage
-	switch {
-	case cfg.Leveler == LevelerRegionedStartGap && cfg.CustomLeveler == nil:
-		regions := cfg.SGRegions
-		if regions == 0 {
-			regions = 4
-		}
-		se.regStride = int(regions)
-	default:
-		// Start-Gap and Security Refresh report region 0 / raw DAs.
-		se.regStride = 1
-	}
 	return se, nil
 }
 
@@ -401,8 +389,8 @@ func (se *ShardedEngine) RunN(n uint64) uint64 {
 
 // mergeEvents is the barrier's deterministic publication step: replay
 // each shard's buffered events into the chip observer in shard order,
-// rebasing shard-local device addresses, pages and regions into chip
-// space. Within a sub-round the lowest-shard-first allocation order
+// rebasing shard-local device addresses and pages into chip space.
+// Within a sub-round the lowest-shard-first allocation order
 // guarantees shard i's events all precede shard j's (i < j) no matter
 // where the barriers fall, so the chip observer sees one fixed event
 // sequence at every batching.
@@ -415,9 +403,8 @@ func (se *ShardedEngine) mergeEvents() {
 			continue
 		}
 		rec.Replay(se.observer, obs.Rebase{
-			DA:     uint64(i) * se.devStride,
-			Page:   uint64(i) * se.pageStride,
-			Region: i * se.regStride,
+			DA:   uint64(i) * se.devStride,
+			Page: uint64(i) * se.pageStride,
 		})
 		rec.Reset()
 	}

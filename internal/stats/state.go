@@ -1,10 +1,6 @@
 package stats
 
-import (
-	"fmt"
-
-	"wlreviver/internal/ckpt"
-)
+import "wlreviver/internal/ckpt"
 
 // SaveState serializes the curve: name, then the points in order.
 func (c *Curve) SaveState(e *ckpt.Encoder) {
@@ -20,12 +16,9 @@ func (c *Curve) SaveState(e *ckpt.Encoder) {
 // receiver's contents.
 func (c *Curve) LoadState(dec *ckpt.Decoder) error {
 	name := dec.String()
-	n := int(dec.U32())
+	n := dec.Count(16) // two 8-byte coordinates per point
 	if err := dec.Err(); err != nil {
 		return err
-	}
-	if n*16 > 1<<32 { // each point is 16 payload bytes
-		return fmt.Errorf("stats: checkpoint point count %d implausible", n)
 	}
 	points := make([]Point, n)
 	for i := range points {

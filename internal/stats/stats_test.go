@@ -2,10 +2,12 @@ package stats
 
 import (
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
 
+	"wlreviver/internal/ckpt"
 	"wlreviver/internal/rng"
 )
 
@@ -261,4 +263,27 @@ func TestSamplerPanics(t *testing.T) {
 		}
 	}()
 	NewSampler(0)
+}
+
+// TestCurveLoadStateBoundsCount: a point count the section's bytes cannot
+// hold is refused before it sizes an allocation.
+func TestCurveLoadStateBoundsCount(t *testing.T) {
+	e := ckpt.NewEncoder()
+	e.Begin("curve")
+	e.String("c")
+	e.U32(1 << 20)
+	e.F64(1)
+	e.End()
+	dec, err := ckpt.NewDecoder(e.Finish())
+	if err != nil || dec.Section("curve") != nil {
+		t.Fatal("image is not well framed")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var c Curve
+	err = c.LoadState(dec)
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; err == nil || n >= 1<<20 {
+		t.Fatalf("LoadState = %v after allocating %d bytes; want an error and under 1 MiB", err, n)
+	}
 }

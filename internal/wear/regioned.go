@@ -159,28 +159,28 @@ func (s *RegionedStartGap) GapMoves() uint64 {
 	return total
 }
 
-// regionGapObserver translates a region-local GapMoved event into chip
-// coordinates: the real region index and the gap's chip device address.
+// regionGapObserver moves a region's GapMoved events into chip device
+// addresses by adding the region's DA base.
 type regionGapObserver struct {
-	obs.Base
-	o      obs.Observer
-	region int
-	base   uint64
+	obs.Observer
+	base uint64
 }
 
-func (r regionGapObserver) GapMoved(_ int, gapDA uint64) {
-	r.o.GapMoved(r.region, r.base+gapDA)
+func (r regionGapObserver) Event(e obs.Event) {
+	e.A += r.base
+	r.Observer.Event(e)
 }
 
 // SetObserver attaches an event observer (nil detaches). Each region's
-// gap movement fires GapMoved with the region index and the chip DA.
+// gap movement fires GapMoved with the gap's chip DA; the region is that
+// DA divided by NumDAs()/regions.
 func (s *RegionedStartGap) SetObserver(o obs.Observer) {
 	for i, r := range s.regions {
 		if o == nil {
 			r.SetObserver(nil)
 			continue
 		}
-		r.SetObserver(regionGapObserver{o: o, region: i, base: uint64(i) * s.daStride})
+		r.SetObserver(regionGapObserver{Observer: o, base: uint64(i) * s.daStride})
 	}
 }
 

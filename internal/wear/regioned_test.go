@@ -105,18 +105,25 @@ func TestQuickRegionedConsistency(t *testing.T) {
 }
 
 // gapCounter tallies GapMoved events per region through the public
-// observer hook.
+// observer hook; the region is the gap's chip DA over the per-region DA
+// stride.
 type gapCounter struct {
-	obs.Base
-	moves map[int]int
+	stride uint64
+	moves  map[uint64]int
 }
 
-func (c *gapCounter) GapMoved(region int, gapDA uint64) { c.moves[region]++ }
+func (c *gapCounter) Event(e obs.Event) {
+	if e.Kind == obs.GapMoved {
+		c.moves[e.A/c.stride]++
+	}
+}
+
+func (c *gapCounter) Snapshot(obs.Snapshot) {}
 
 // Writes confined to one region must only move that region's gap.
 func TestRegionedIndependentPacing(t *testing.T) {
 	s := newTestRegioned(t, 64, 4, 4)
-	counter := &gapCounter{moves: make(map[int]int)}
+	counter := &gapCounter{stride: s.NumDAs() / 4, moves: make(map[uint64]int)}
 	s.SetObserver(counter)
 	mem := conformance.NewShadowMem(s.NumDAs())
 	conformance.FillThrough(s, mem)

@@ -243,7 +243,7 @@ func (s *SecurityRefresh) NoteWrite(pa uint64, mover Mover) {
 			da1, da2 := s.midToDA(a), s.midToDA(b)
 			mover.Swap(da1, da2)
 			if s.observer != nil {
-				s.observer.RegionSwapped(da1, da2)
+				s.observer.Event(obs.Event{Kind: obs.RegionSwapped, A: da1, B: da2})
 			}
 		})
 	}
@@ -258,7 +258,7 @@ func (s *SecurityRefresh) NoteWrite(pa uint64, mover Mover) {
 		s.inner[region].step(func(a, b uint64) {
 			mover.Swap(base|a, base|b)
 			if s.observer != nil {
-				s.observer.RegionSwapped(base|a, base|b)
+				s.observer.Event(obs.Event{Kind: obs.RegionSwapped, A: base | a, B: base | b})
 			}
 		})
 	}

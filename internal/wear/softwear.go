@@ -169,7 +169,7 @@ func (s *SoftWear) rebalance(mover Mover) {
 		s.pt.Swap(s.relocA, s.relocB)
 		s.relocs++
 		if s.observer != nil {
-			s.observer.PageRelocated(oldFrame, cold)
+			s.observer.Event(obs.Event{Kind: obs.PageRelocated, A: oldFrame, B: cold})
 		}
 	}
 	for v := range s.counts {

@@ -168,12 +168,12 @@ func (s *StartGap) moveGap(mover Mover) {
 	}
 	s.gapMoves++
 	if s.observer != nil {
-		s.observer.GapMoved(0, s.gap)
+		s.observer.Event(obs.Event{Kind: obs.GapMoved, A: s.gap})
 	}
 }
 
 // SetObserver attaches an event observer (nil detaches). GapMoved fires
-// once per gap movement with region 0 and the gap's new device address.
+// once per gap movement with the gap's new device address.
 func (s *StartGap) SetObserver(o obs.Observer) { s.observer = o }
 
 // ForceGapMove triggers one gap movement immediately, regardless of the

@@ -162,7 +162,7 @@ func (w *WoLFRaM) NoteWrite(pa uint64, mover Mover) {
 	r.inv[r.perm[q]] = uint32(q)
 	r.swaps++
 	if w.observer != nil {
-		w.observer.DecoderRemapped(daA, daB)
+		w.observer.Event(obs.Event{Kind: obs.DecoderRemapped, A: daA, B: daB})
 	}
 }
 
