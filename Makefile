@@ -56,7 +56,8 @@ microbench:
 # restore path, WL-Reviver's reboot-image decoder, the metrics counter
 # decoder, the Start-Gap mapping
 # algebra, the PCM device's incremental failure-horizon rescan, and
-# wlserved's write-body decoder and journal replay. Each
+# wlserved's write-body decoder, journal replay and spec.json
+# resolution. Each
 # target's seed corpus lives in its package's testdata/fuzz/ and replays
 # as part of the ordinary test suite (the CI smoke run); this target
 # additionally explores new inputs for a few seconds each.
@@ -72,6 +73,7 @@ fuzz:
 	go test ./internal/pcm -fuzz FuzzHorizonSchedule -fuzztime 10s
 	go test ./internal/serve -fuzz FuzzWriteBody -fuzztime 10s
 	go test ./internal/serve -fuzz FuzzJournalReplay -fuzztime 10s
+	go test ./internal/serve -fuzz FuzzDeviceSpec -fuzztime 10s
 
 # wlserved crash-durability smoke: drive 50 devices with wlload,
 # kill -9 the daemon mid-run, restart over the same spill directory and

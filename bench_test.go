@@ -189,7 +189,7 @@ func ablationRun(b *testing.B, mutate func(*Config)) (float64, float64) {
 	}
 	budget := uint64(s.MaxWritesPerBlock * float64(s.Blocks))
 	for sys.Writes() < budget && sys.UsableFraction() > 0.7 {
-		if sys.Run(1<<12, nil) == 0 {
+		if sys.RunN(1<<12) == 0 {
 			break
 		}
 	}
@@ -266,7 +266,7 @@ func BenchmarkAblation_RestrictedRandomizer(b *testing.B) {
 		}
 		budget := uint64(s.MaxWritesPerBlock * float64(s.Blocks))
 		for sys.Writes() < budget && sys.UsableFraction() > 0.7 {
-			if sys.Run(1<<12, nil) == 0 {
+			if sys.RunN(1<<12) == 0 {
 				break
 			}
 		}

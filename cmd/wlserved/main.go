@@ -41,7 +41,6 @@ func run() error {
 		maxDevices  = flag.Int("max-devices", 0, "device capacity (0 = unlimited)")
 		maxResident = flag.Int("max-resident", 64, "in-memory engine budget (LRU)")
 		mailbox     = flag.Int("mailbox", 32, "per-device request queue bound")
-		batch       = flag.Uint64("batch", 1<<16, "write-servicing round size")
 		ckptEvery   = flag.Uint64("ckpt-every", 1<<18, "durability checkpoint period in acked writes per device")
 		noSync      = flag.Bool("no-sync", false, "skip fsync (forfeits the kill -9 durability contract)")
 	)
@@ -55,7 +54,6 @@ func run() error {
 		MaxDevices:      *maxDevices,
 		MaxResident:     *maxResident,
 		MailboxDepth:    *mailbox,
-		BatchWrites:     *batch,
 		CheckpointEvery: *ckptEvery,
 		DisableSync:     *noSync,
 	})

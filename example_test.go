@@ -23,7 +23,7 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	sys.Run(100_000, nil)
+	sys.RunN(100_000)
 	fmt.Printf("writes=%d survival=%.2f usable=%.2f\n",
 		sys.Writes(), sys.SurvivalRate(), sys.UsableFraction())
 	// Output: writes=100000 survival=1.00 usable=1.00
@@ -64,7 +64,7 @@ func ExampleConfig() {
 			panic(err)
 		}
 		for sys.UsableFraction() > 0.7 {
-			if sys.Run(1<<12, nil) == 0 {
+			if sys.RunN(1<<12) == 0 {
 				break
 			}
 		}
@@ -110,7 +110,7 @@ func ExampleObserver() {
 		if err != nil {
 			panic(err)
 		}
-		sys.Run(100_000, nil)
+		sys.RunN(100_000)
 		for kind, n := range ops {
 			fmt.Println(kind, n)
 		}

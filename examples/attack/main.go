@@ -56,7 +56,7 @@ func main() {
 				log.Fatal(err)
 			}
 			for sys.Writes() < maxWrites && sys.UsableFraction() > 0.70 {
-				if sys.Run(1<<16, nil) == 0 {
+				if sys.RunN(1<<16) == 0 {
 					break
 				}
 			}

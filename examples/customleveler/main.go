@@ -106,7 +106,7 @@ func main() {
 	fmt.Printf("running custom scheme %q under WL-Reviver\n\n", lev.Name())
 	fmt.Println("writes/block  survival  usable  failures-hidden")
 	for sys.UsableFraction() > 0.7 && sys.WritesPerBlock() < 4000 {
-		if sys.Run(1<<19, nil) == 0 {
+		if sys.RunN(1<<19) == 0 {
 			break
 		}
 		hidden := 0

@@ -41,7 +41,7 @@ func main() {
 
 	fmt.Println("writes/block  survival  usable  dead-blocks  retired-pages")
 	for i := 0; i < 40; i++ {
-		sys.Run(1<<20, nil)
+		sys.RunN(1 << 20)
 		fmt.Printf("%12.1f  %8.4f  %6.4f  %11d  %13d\n",
 			sys.WritesPerBlock(), sys.SurvivalRate(), sys.UsableFraction(),
 			sys.Device().DeadBlocks(), sys.OS().RetiredPages())

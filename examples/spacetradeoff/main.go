@@ -55,7 +55,7 @@ func main() {
 			}
 			crossings := map[float64]float64{0.9: -1, 0.8: -1, 0.7: -1}
 			for sys.UsableFraction() > 0.65 && sys.WritesPerBlock() < 6000 {
-				if sys.Run(1<<15, nil) == 0 {
+				if sys.RunN(1<<15) == 0 {
 					break
 				}
 				u := sys.UsableFraction()

@@ -34,7 +34,6 @@ var engineMutators = map[string]bool{
 	"LoadBitmap":        true,
 	"RestoreCheckpoint": true,
 	"LoadState":         true,
-	"CrashAfter":        true,
 	"SetState":          true,
 	"Retire":            true,
 }

@@ -17,10 +17,11 @@ func saveSparseU16(enc *ckpt.Encoder, m map[uint64]uint16) {
 	}
 }
 
-// loadSparseU16 decodes a saveSparseU16 run, validating strict key order
-// and the block-space bound.
+// loadSparseU16 decodes a saveSparseU16 run, validating the count
+// against the section's remaining bytes and the block space, and strict
+// key order.
 func loadSparseU16(dec *ckpt.Decoder, numBlocks uint64, scheme string) (map[uint64]uint16, error) {
-	n := int(dec.U32())
+	n := dec.Count(10) // u64 block + u16 value per entry
 	if dec.Err() != nil {
 		return nil, dec.Err()
 	}

@@ -48,7 +48,7 @@ func (d *Device) LoadState(dec *ckpt.Decoder) error {
 	dec.U64sInto(d.nextFail)
 	dec.U64sInto(d.exactBits.Words())
 	dec.U64sInto(d.deadBits.Words())
-	nFails := int(dec.U32())
+	nFails := dec.Count(18) // u64 block + u16 cells + f64 u per entry
 	if dec.Err() == nil && uint64(nFails) > d.cfg.NumBlocks {
 		return fmt.Errorf("pcm: checkpoint failure index count %d exceeds %d blocks", nFails, d.cfg.NumBlocks)
 	}

@@ -38,26 +38,13 @@ func (f *Fleet) serveRequest(d *device, r *request) {
 	r.reply <- response{val: val, err: err}
 }
 
-// doWrite services a count-granularity request in BatchWrites rounds,
-// observing cancellation at round boundaries. The serviced prefix is
-// journaled (sync-before-ack) whatever ended the loop, so every write
-// the reply acknowledges is durable.
+// doWrite services a count-granularity request with one RunContext
+// call, which observes cancellation every runCtxBatch writes. The
+// serviced prefix is journaled (sync-before-ack) whatever ended the
+// run, so every write the reply acknowledges is durable.
 func (f *Fleet) doWrite(res *resident, r *request) (WriteResult, error) {
 	eng := res.eng
-	var done uint64
-	var ctxErr error
-	for done < r.count {
-		batch := min(r.count-done, f.cfg.BatchWrites)
-		got, err := eng.RunContext(r.ctx, batch, nil)
-		done += got
-		if err != nil {
-			ctxErr = err
-			break
-		}
-		if got < batch {
-			break // end of life inside the round
-		}
-	}
+	done, ctxErr := eng.RunContext(r.ctx, r.count)
 	if done > 0 {
 		if err := res.jl.appendCount(eng.Writes()); err != nil {
 			// Applied but not journaled: the engine diverged from the

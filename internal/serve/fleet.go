@@ -31,10 +31,6 @@ type Config struct {
 	// admission control. A request arriving at a full mailbox is
 	// rejected with ErrBusy. 0 defaults to 32.
 	MailboxDepth int
-	// BatchWrites is the round size a count-granularity write request
-	// is serviced in (cancellation and accounting granularity).
-	// 0 defaults to 1<<16.
-	BatchWrites uint64
 	// CheckpointEvery is the durability checkpoint period in
 	// acknowledged writes per device: once a device accumulates this
 	// many journaled writes its checkpoint is rewritten and the journal
@@ -52,9 +48,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MailboxDepth <= 0 {
 		c.MailboxDepth = 32
-	}
-	if c.BatchWrites == 0 {
-		c.BatchWrites = 1 << 16
 	}
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 1 << 18

@@ -74,8 +74,7 @@ func fleetState(t *testing.T, f *Fleet, id string) (metrics, img []byte) {
 
 // TestFleetMatchesStandaloneBatched pins the core server-side
 // scheduling contract: a device driven through the fleet in ragged
-// request batches (forcing internal BatchWrites rounds) ends
-// byte-identical — metrics JSON and checkpoint image — to a standalone
+// request batches ends byte-identical — metrics JSON and checkpoint image — to a standalone
 // engine run of the same spec and total.
 func TestFleetMatchesStandaloneBatched(t *testing.T) {
 	spec := testSpec(7)
@@ -83,7 +82,6 @@ func TestFleetMatchesStandaloneBatched(t *testing.T) {
 	wantMetrics, wantImg := referenceRun(t, spec, total)
 
 	cfg := testConfig(t)
-	cfg.BatchWrites = 1 << 10 // force many internal rounds per request
 	f, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -701,6 +699,57 @@ func TestFleetErrors(t *testing.T) {
 	}
 	if _, err := f.Write(ctx, "dev", 1); !errors.Is(err, ErrClosed) {
 		t.Errorf("closed fleet: got %v, want ErrClosed", err)
+	}
+}
+
+// TestFleetWriteCancelled pins a cancelled write: a request whose
+// context is already cancelled returns context.Canceled, services no
+// write and appends no journal record.
+func TestFleetWriteCancelled(t *testing.T) {
+	cfg := testConfig(t)
+	f, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := f.Create("dev", testSpec(7)); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := f.Write(ctx, "dev", 1_000); err != nil {
+		t.Fatal(err)
+	}
+	journal := filepath.Join(cfg.Dir, "dev", journalFile)
+	journalSize := func() int64 {
+		t.Helper()
+		fi, err := os.Stat(journal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	before, err := f.Status(ctx, "dev")
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := journalSize()
+
+	dead, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := f.Write(dead, "dev", 50_000); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled write: got %v, want context.Canceled", err)
+	}
+	// The mailbox is FIFO, so this status request is served after the
+	// cancelled write whichever way post returned.
+	after, err := f.Status(ctx, "dev")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Writes != before.Writes {
+		t.Errorf("cancelled write serviced writes: %d -> %d", before.Writes, after.Writes)
+	}
+	if got := journalSize(); got != size {
+		t.Errorf("cancelled write grew the journal: %d -> %d bytes", size, got)
 	}
 }
 

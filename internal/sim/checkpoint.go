@@ -8,8 +8,8 @@ import (
 	"wlreviver/internal/wear"
 )
 
-// ErrCrashed is returned by checkpoint-aware runners when an injected
-// crash fault (CrashAfter, or a CheckpointPlan crash budget) halts the
+// ErrCrashed is returned by checkpoint-aware runners when the
+// CheckpointPlan's sweep-wide crash budget (ArmTotalCrash) halts the
 // run. A crashed run's in-memory results are discarded — exactly like a
 // process kill — and a subsequent run with Resume set converges to the
 // uninterrupted result.
@@ -21,21 +21,6 @@ var ErrCrashed = errors.New("sim: run halted by injected crash fault")
 // configuration.
 type ckptSaver interface{ SaveState(*ckpt.Encoder) }
 type ckptLoader interface{ LoadState(*ckpt.Decoder) error }
-
-// CrashAfter arms the crash-fault injector: the engine refuses to
-// service writes once e.Writes() reaches n (an absolute simulated-write
-// threshold), setting Crashed. Runs already past n crash immediately on
-// the next Run/Step. n = 0 disarms. The check costs one compare per
-// Run call, not per write — Run clamps its batch to the threshold.
-func (e *Engine) CrashAfter(n uint64) {
-	e.crashAt = n
-	if n == 0 {
-		e.crashed = false
-	}
-}
-
-// Crashed reports whether the crash-fault injector has fired.
-func (e *Engine) Crashed() bool { return e.crashed }
 
 // Checkpoint serializes the engine's complete mutable state — every
 // layer plus the write cursor and workload stream position — into a

@@ -23,8 +23,10 @@ import (
 // batch sequence and produces byte-identical results to an
 // uninterrupted run, at every Workers value.
 //
-// The same plan is shared by every worker goroutine; its only mutable
-// state (the crash budget) is mutex-guarded.
+// The plan's sweep-wide budget (ArmTotalCrash) is the only crash
+// injector: no engine carries a fault of its own. The same plan is
+// shared by every worker goroutine; its only mutable state (the crash
+// budget) is mutex-guarded.
 type CheckpointPlan struct {
 	// Dir is the checkpoint directory; it must exist.
 	Dir string
@@ -35,13 +37,6 @@ type CheckpointPlan struct {
 	// Jobs without a file start fresh; jobs checkpointed as complete
 	// return their recorded results without re-running.
 	Resume bool
-	// CrashKey, when non-empty, arms the crash-fault injector on the
-	// engine whose job key matches ("*" matches every engine): that
-	// engine halts at CrashAt total simulated writes and its experiment
-	// returns ErrCrashed.
-	CrashKey string
-	// CrashAt is the absolute per-engine write threshold for CrashKey.
-	CrashAt uint64
 
 	mu         sync.Mutex
 	crashArmed bool
@@ -50,9 +45,9 @@ type CheckpointPlan struct {
 
 // ArmTotalCrash arms a sweep-wide crash budget: after n more simulated
 // writes across all engines combined, the sweep halts with ErrCrashed —
-// the cmd/paper -crash-after test hook. Unlike CrashKey, the exact
-// engine that trips the budget depends on worker scheduling; the
-// resume guarantee holds regardless, which is the point of the fault.
+// the cmd/paper -crash-after test hook. The exact engine that trips the
+// budget depends on worker scheduling; the resume guarantee holds
+// regardless, which is the point of the fault.
 func (p *CheckpointPlan) ArmTotalCrash(n uint64) {
 	p.mu.Lock()
 	p.crashArmed = true
@@ -79,8 +74,9 @@ func (p *CheckpointPlan) takeBudget(want uint64) (allowed uint64, crashNow bool)
 }
 
 // driver builds the per-job checkpoint driver for the given key, or nil
-// when no plan is set — the nil driver is a no-op in every method, so
-// runners carry no checkpoint branches when checkpointing is off.
+// when no plan is set — the nil driver restores, checkpoints and crashes
+// nothing (its run is a plain RunN), so runners carry no checkpoint
+// branches when checkpointing is off.
 func (p *CheckpointPlan) driver(key string) *ckptDriver {
 	if p == nil {
 		return nil
@@ -151,23 +147,20 @@ func (d *ckptDriver) restore(e Machine, loadHarness func(*ckpt.Decoder) error) e
 	return nil
 }
 
-// arm applies the plan's per-engine crash fault when this job's key
-// matches.
-func (d *ckptDriver) arm(e Machine) {
-	if d == nil || d.plan.CrashKey == "" {
-		return
-	}
-	if d.plan.CrashKey == "*" || d.plan.CrashKey == d.key {
-		e.CrashAfter(d.plan.CrashAt)
-	}
-}
-
-// clampBatch draws the batch from the sweep-wide crash budget.
-func (d *ckptDriver) clampBatch(want uint64) (allowed uint64, crashNow bool) {
+// run services one batch of up to n writes on e. The batch is drawn
+// from the sweep-wide crash budget first: when the budget runs out, run
+// services only the prefix the budget allows and returns ErrCrashed, so
+// the job is abandoned like the process kill the fault simulates.
+func (d *ckptDriver) run(e Machine, n uint64) (uint64, error) {
 	if d == nil {
-		return want, false
+		return e.RunN(n), nil
 	}
-	return d.plan.takeBudget(want)
+	allowed, crashNow := d.plan.takeBudget(n)
+	ran := e.RunN(allowed)
+	if crashNow {
+		return ran, ErrCrashed
+	}
+	return ran, nil
 }
 
 // afterBatch runs at every batch end. It checkpoints the engine plus

@@ -321,22 +321,6 @@ func pinCheckpointFixture(t *testing.T, name string, mutate func(*Config)) *Engi
 	return restored
 }
 
-// TestCrashAfterHalts checks the injector's exact semantics: the engine
-// services precisely n writes, reports Crashed, and refuses more work.
-func TestCrashAfterHalts(t *testing.T) {
-	e := buildRole(t, ckptRoles()[2])
-	e.CrashAfter(777)
-	if got := e.RunN(10_000); got != 777 {
-		t.Fatalf("serviced %d writes, want 777", got)
-	}
-	if !e.Crashed() {
-		t.Fatal("engine not marked crashed")
-	}
-	if e.RunN(10) != 0 || e.Step() {
-		t.Fatal("crashed engine serviced more writes")
-	}
-}
-
 // testCollector mirrors cmd/paper's -metrics collection: one Metrics
 // accumulator per engine key, marshalled deterministically.
 type testCollector struct {
@@ -415,8 +399,9 @@ func TestCrashResumeEquivalence(t *testing.T) {
 
 	// The sweep totals ~28.7k writes (WLR stops near 20.5k, LLS near
 	// 8.2k), so these points land before, around and after every batch
-	// boundary, mid-failure-burst and on both arms' endgames.
-	crashPoints := []uint64{1, 500, 2_000, 5_000, 7_777, 11_111, 15_000, 20_000, 25_000, 28_000}
+	// boundary, mid-failure-burst and on both arms' endgames; 2_048 ends
+	// the budget exactly at a batch end (a full batch, then the crash).
+	crashPoints := []uint64{1, 500, 2_000, 2_048, 5_000, 7_777, 11_111, 15_000, 20_000, 25_000, 28_000}
 	for _, workers := range []int{1, 4} {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -537,41 +522,6 @@ func TestCrashResumeEquivalenceNewLevelers(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestPerEngineCrashKey exercises the deterministic per-engine injector
-// (CrashKey/CrashAt) end to end: crash exactly one job of the sweep,
-// resume, match the uninterrupted output.
-func TestPerEngineCrashKey(t *testing.T) {
-	if testing.Short() {
-		t.Skip("crash/resume differential is slow; run without -short")
-	}
-	scale := Scale{
-		Blocks: 1 << 9, BlocksPerPage: 8, MeanEndurance: 120,
-		GapWritePeriod: 10, Seed: 7, MaxWritesPerBlock: 100,
-	}
-	want, err := Fig8(scale, "ocean")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	s := scale
-	s.Checkpoint = &CheckpointPlan{
-		Dir: dir, Every: 1 << 11,
-		CrashKey: "fig8/ocean/LLS", CrashAt: 5_000,
-	}
-	if _, err := Fig8(s, "ocean"); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("want ErrCrashed, got %v", err)
-	}
-	s = scale
-	s.Checkpoint = &CheckpointPlan{Dir: dir, Every: 1 << 11, Resume: true}
-	got, err := Fig8(s, "ocean")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.String() != want.String() {
-		t.Error("resume after per-engine crash diverged")
 	}
 }
 

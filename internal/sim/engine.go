@@ -147,19 +147,14 @@ type Engine struct {
 	// Batched address generation: when gen has a NextBatch fast path,
 	// addresses are pulled through addrBuf in chunks, replacing one
 	// interface call per write with one per addrBatch writes. Step and
-	// Run share the buffer, so mixing them preserves the address stream.
+	// RunContext share the buffer, so mixing them preserves the address
+	// stream.
 	batchGen trace.BatchGenerator
 	addrBuf  []uint64
 	addrPos  int
 
 	writes  uint64
 	stopped bool
-
-	// Crash-fault injection (checkpoint.go): crashAt is an absolute
-	// write threshold (0 = disarmed); Run clamps each batch to it so the
-	// hot loop carries no extra per-write check.
-	crashAt uint64
-	crashed bool
 
 	// Observation state: snapEvery is 0 when no observer is attached, so
 	// the hot path's snapshot check is a single always-false compare.
@@ -495,10 +490,6 @@ func (e *Engine) Step() bool {
 	if e.stopped {
 		return false
 	}
-	if e.crashAt != 0 && e.writes >= e.crashAt {
-		e.crashed = true
-		return false
-	}
 	return e.writeTagged(e.nextAddr(), e.writes)
 }
 
@@ -507,9 +498,11 @@ func (e *Engine) Step() bool {
 // work, small enough that cancellation lands promptly at serving scale.
 const runCtxBatch = 1 << 15
 
-// RunContext services up to n writes, invoking onWrite (if non-nil)
-// after each with the cumulative count serviced by this call. It is the
-// canonical run entry point — Run and RunN are thin wrappers over it.
+// RunContext services up to n writes and returns the number serviced.
+// It is the one loop that batches a chip's write stream: RunN, the
+// experiment runners (through the checkpoint driver, whose sweep-wide
+// budget is the only crash injector) and wlserved's device actors all
+// run through it.
 //
 // Cancellation is observed at batch boundaries only (every runCtxBatch
 // writes), never mid-batch, so the simulated outcome stays a pure
@@ -519,71 +512,42 @@ const runCtxBatch = 1 << 15
 // per-write context check. On cancellation the count serviced so far is
 // returned alongside ctx.Err(); the engine remains valid and can
 // continue with a later call.
-func (e *Engine) RunContext(ctx context.Context, n uint64, onWrite func(done uint64)) (uint64, error) {
-	crashing := false
-	if e.crashAt != 0 {
-		if e.crashed {
-			return 0, nil
-		}
-		if e.writes >= e.crashAt {
-			e.crashed = true
-			return 0, nil
-		}
-		if left := e.crashAt - e.writes; n >= left {
-			n = left
-			crashing = true
-		}
-	}
+func (e *Engine) RunContext(ctx context.Context, n uint64) (uint64, error) {
 	var done uint64
 	for done < n {
 		if err := ctx.Err(); err != nil {
 			return done, err
 		}
-		batch := n - done
-		if batch > runCtxBatch {
-			batch = runCtxBatch
-		}
-		got := e.runBatch(batch, done, onWrite)
+		batch := min(n-done, runCtxBatch)
+		got := e.runBatch(batch)
 		done += got
 		if got < batch {
 			break // end of life (or terminal crippling) inside the batch
 		}
 	}
-	if crashing && done == n {
-		e.crashed = true
-	}
 	return done, nil
 }
 
-// runBatch is the single tight write loop — every run entry point
-// funnels here — so the stopped-recheck semantics live in exactly one
-// place: stopped is rechecked every iteration, not just at entry,
-// because writeTagged can set it while still reporting the write as
-// serviced (the LLS crippling write is terminal), and the batch must
-// halt there exactly as a Step-driven loop would. base offsets the
-// cumulative count reported to onWrite across RunContext's batches.
-func (e *Engine) runBatch(n, base uint64, onWrite func(done uint64)) uint64 {
+// runBatch is the single tight write loop, so the stopped-recheck
+// semantics live in exactly one place: stopped is rechecked every
+// iteration, not just at entry, because writeTagged can set it while
+// still reporting the write as serviced (the LLS crippling write is
+// terminal), and the batch must halt there exactly as a Step-driven
+// loop would.
+func (e *Engine) runBatch(n uint64) uint64 {
 	var done uint64
 	for done < n && !e.stopped && e.writeTagged(e.nextAddr(), e.writes) {
 		done++
-		if onWrite != nil {
-			onWrite(base + done)
-		}
 	}
 	return done
 }
 
-// Run services up to n writes, invoking onWrite (if non-nil) after
-// each. It returns the number of writes actually serviced. Run is
-// RunContext without cancellation.
-func (e *Engine) Run(n uint64, onWrite func(done uint64)) uint64 {
-	done, _ := e.RunContext(context.Background(), n, onWrite)
+// RunN services up to n writes — RunContext without cancellation, the
+// loop experiment runners sit in. It returns the writes serviced.
+func (e *Engine) RunN(n uint64) uint64 {
+	done, _ := e.RunContext(context.Background(), n)
 	return done
 }
-
-// RunN services up to n writes with no per-write callback — the tight
-// loop experiment runners sit in. It returns the writes serviced.
-func (e *Engine) RunN(n uint64) uint64 { return e.Run(n, nil) }
 
 // Writes returns the number of software writes serviced.
 func (e *Engine) Writes() uint64 { return e.writes }

@@ -199,23 +199,21 @@ const checkEvery = 1 << 10
 // d (nil when checkpointing is off) restores the machine and curve from
 // the job's checkpoint, checkpoints at batch ends — never mid-batch, so
 // a resumed run replays the identical batch and sample sequence — and
-// injects crash faults, surfacing them as ErrCrashed.
+// draws each batch from the sweep's crash budget, surfacing an exhausted
+// budget as ErrCrashed.
 func runCurve(e Machine, d *ckptDriver, name string, metric func(Machine) float64, floor float64, maxWrites, batchSize uint64) (stats.Curve, error) {
 	curve := stats.Curve{Name: name}
 	done := false
-	if d != nil {
-		err := d.restore(e, func(dec *ckpt.Decoder) error {
-			var herr error
-			done, herr = loadCurveHarness(dec, name, &curve)
-			return herr
-		})
-		if err != nil {
-			return stats.Curve{}, err
-		}
-		if done {
-			return curve, nil
-		}
-		d.arm(e)
+	err := d.restore(e, func(dec *ckpt.Decoder) error {
+		var herr error
+		done, herr = loadCurveHarness(dec, name, &curve)
+		return herr
+	})
+	if err != nil {
+		return stats.Curve{}, err
+	}
+	if done {
+		return curve, nil
 	}
 	if len(curve.Points) == 0 {
 		curve.Append(0, metric(e))
@@ -225,14 +223,9 @@ func runCurve(e Machine, d *ckptDriver, name string, metric func(Machine) float6
 		if batch > batchSize {
 			batch = batchSize
 		}
-		allowed, crashNow := d.clampBatch(batch)
-		if allowed < batch {
-			e.RunN(allowed)
-			return stats.Curve{}, ErrCrashed
-		}
-		ran := e.RunN(batch)
-		if crashNow || e.Crashed() {
-			return stats.Curve{}, ErrCrashed
+		ran, err := d.run(e, batch)
+		if err != nil {
+			return stats.Curve{}, err
 		}
 		m := metric(e)
 		curve.Append(e.WritesPerBlock(), m)
@@ -763,14 +756,11 @@ func table2Run(s Scale, scheme string, prot ProtectorKind, workload string) ([]T
 	}
 	d := s.Checkpoint.driver(key)
 	var h table2Harness
-	if d != nil {
-		if err := d.restore(e, h.load); err != nil {
-			return nil, 0, err
-		}
-		if h.done {
-			return h.cells, e.Writes(), nil
-		}
-		d.arm(e)
+	if err := d.restore(e, h.load); err != nil {
+		return nil, 0, err
+	}
+	if h.done {
+		return h.cells, e.Writes(), nil
 	}
 	budget := s.maxWrites()
 	for i := h.ratioIdx; i < uint64(len(ratios)); i++ {
@@ -786,14 +776,9 @@ func table2Run(s Scale, scheme string, prot ProtectorKind, workload string) ([]T
 				reached = false
 				break
 			}
-			allowed, crashNow := d.clampBatch(batch)
-			if allowed < batch {
-				e.RunN(allowed)
-				return nil, 0, ErrCrashed
-			}
-			ran := e.RunN(batch)
-			if crashNow || e.Crashed() {
-				return nil, 0, ErrCrashed
+			ran, err := d.run(e, batch)
+			if err != nil {
+				return nil, 0, err
 			}
 			if err := d.afterBatch(e, false, h.save); err != nil {
 				return nil, 0, err

@@ -137,7 +137,7 @@ func TestStepRunNInterleavingCoherent(t *testing.T) {
 		if rem := writes - done; n > rem {
 			n = rem
 		}
-		done += mixed.Run(n, nil)
+		done += mixed.RunN(n)
 		if mixed.Stopped() {
 			break
 		}

@@ -12,7 +12,7 @@ import "wlreviver/internal/ckpt"
 type Machine interface {
 	// RunN services up to n software writes, returning the number
 	// actually serviced; fewer than n means the memory reached end of
-	// life (or an armed crash fault fired).
+	// life.
 	RunN(n uint64) uint64
 	// Writes returns the software writes serviced so far.
 	Writes() uint64
@@ -33,10 +33,6 @@ type Machine interface {
 	RequestCounts() (requests, accesses uint64)
 	// Stopped reports whether the memory reached end of life.
 	Stopped() bool
-	// CrashAfter arms the crash-fault injector at an absolute
-	// simulated-write threshold (0 disarms); Crashed reports it fired.
-	CrashAfter(n uint64)
-	Crashed() bool
 
 	// Checkpoint plumbing (in-package): the complete mutable state, in a
 	// fixed section order, restorable into a machine freshly built from

@@ -94,7 +94,7 @@ func TestSnapshotCadence(t *testing.T) {
 		t.Fatal(err)
 	}
 	const writes = 10 * 512
-	if got := e.Run(writes, nil); got != writes {
+	if got := e.RunN(writes); got != writes {
 		t.Fatalf("ran %d of %d writes", got, writes)
 	}
 	snaps := m.Snapshots()
@@ -127,7 +127,7 @@ func TestObserverEventCountsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Run(500_000, nil)
+	e.RunN(500_000)
 
 	counters := m.Counters()
 	if counters[obs.CounterBlockFailed] == 0 || counters[obs.CounterRevived] == 0 {

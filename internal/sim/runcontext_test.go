@@ -14,8 +14,13 @@ import (
 // shared tiny checkpoint-test geometry, with endurance raised so the
 // runs here never hit end of life.
 func buildCkptEngine(cfg Config) (*Engine, error) {
-	cfg.MeanEndurance = 1e6
 	cfg.Observer = obs.NewMetrics()
+	return buildObservedEngine(cfg)
+}
+
+// buildObservedEngine is buildCkptEngine with the caller's observer.
+func buildObservedEngine(cfg Config) (*Engine, error) {
+	cfg.MeanEndurance = 1e6
 	cfg.SnapshotEvery = 1000
 	gen, err := trace.NewFromSpec(trace.Spec{
 		Kind: "mg", Blocks: cfg.Blocks, PageBlocks: cfg.BlocksPerPage, Seed: cfg.Seed,
@@ -24,6 +29,21 @@ func buildCkptEngine(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	return NewEngine(cfg, gen)
+}
+
+// cancelAt cancels a context from the first snapshot at or past a
+// write count, i.e. from inside a running RunContext batch.
+type cancelAt struct {
+	obs.Metrics
+	at     uint64
+	cancel context.CancelFunc
+}
+
+func (c *cancelAt) Snapshot(s obs.Snapshot) {
+	c.Metrics.Snapshot(s)
+	if s.Writes >= c.at {
+		c.cancel()
+	}
 }
 
 // TestRunContextCancelAtBatchBoundary pins RunContext's determinism
@@ -42,14 +62,15 @@ func TestRunContextCancelAtBatchBoundary(t *testing.T) {
 	}
 	const total = 5 * runCtxBatch / 2 // 2.5 batches
 
-	// Cancel from the onWrite callback partway into the second batch.
+	// Cancel from an observer snapshot partway into the second batch.
 	ctx, cancel := context.WithCancel(context.Background())
-	interrupted := build()
-	done, err := interrupted.RunContext(ctx, total, func(d uint64) {
-		if d == runCtxBatch+17 {
-			cancel()
-		}
-	})
+	cfg := ckptTestConfig()
+	cfg.Observer = &cancelAt{at: runCtxBatch + 17, cancel: cancel}
+	interrupted, err := buildObservedEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, err := interrupted.RunContext(ctx, total)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run returned %v", err)
 	}
@@ -58,11 +79,11 @@ func TestRunContextCancelAtBatchBoundary(t *testing.T) {
 	}
 
 	// Resume to the full total; the result must match a straight run.
-	if d, err := interrupted.RunContext(context.Background(), total-done, nil); err != nil || d != total-done {
+	if d, err := interrupted.RunContext(context.Background(), total-done); err != nil || d != total-done {
 		t.Fatalf("resume serviced %d, err %v", d, err)
 	}
 	straight := build()
-	if d, err := straight.RunContext(context.Background(), total, nil); err != nil || d != total {
+	if d, err := straight.RunContext(context.Background(), total); err != nil || d != total {
 		t.Fatalf("straight run serviced %d, err %v", d, err)
 	}
 	wantImg, err := straight.Checkpoint()
@@ -80,12 +101,12 @@ func TestRunContextCancelAtBatchBoundary(t *testing.T) {
 	// An already-cancelled context services nothing.
 	dead, cancel2 := context.WithCancel(context.Background())
 	cancel2()
-	if d, err := build().RunContext(dead, total, nil); d != 0 || !errors.Is(err, context.Canceled) {
+	if d, err := build().RunContext(dead, total); d != 0 || !errors.Is(err, context.Canceled) {
 		t.Errorf("pre-cancelled context serviced %d writes, err %v", d, err)
 	}
 }
 
-// TestRunIsRunContext pins Run as a thin wrapper: same writes, same
+// TestRunIsRunContext pins RunN as a thin wrapper: same writes, same
 // image as RunContext with a background context.
 func TestRunIsRunContext(t *testing.T) {
 	cfg := ckptTestConfig()
@@ -101,7 +122,7 @@ func TestRunIsRunContext(t *testing.T) {
 	if got := a.RunN(n); got != n {
 		t.Fatalf("RunN serviced %d", got)
 	}
-	got, err := b.RunContext(context.Background(), n, nil)
+	got, err := b.RunContext(context.Background(), n)
 	if err != nil || got != n {
 		t.Fatalf("RunContext serviced %d, err %v", got, err)
 	}

@@ -96,9 +96,6 @@ type ShardedEngine struct {
 	writes  uint64
 	stopped bool
 
-	crashAt uint64
-	crashed bool
-
 	observer  obs.Observer
 	snapEvery uint64
 	nextSnap  uint64
@@ -217,18 +214,6 @@ func (se *ShardedEngine) WritesPerBlock() float64 {
 // Stopped reports whether every shard reached end of life.
 func (se *ShardedEngine) Stopped() bool { return se.stopped }
 
-// CrashAfter arms the crash-fault injector at an absolute chip-wide
-// write threshold (0 disarms), mirroring Engine.CrashAfter.
-func (se *ShardedEngine) CrashAfter(n uint64) {
-	se.crashAt = n
-	if n == 0 {
-		se.crashed = false
-	}
-}
-
-// Crashed reports whether the crash-fault injector has fired.
-func (se *ShardedEngine) Crashed() bool { return se.crashed }
-
 // SurvivalRate returns the chip-wide fraction of device blocks not
 // declared dead.
 func (se *ShardedEngine) SurvivalRate() float64 {
@@ -319,20 +304,6 @@ func (se *ShardedEngine) RunN(n uint64) uint64 {
 	if se.stopped {
 		return 0
 	}
-	crashing := false
-	if se.crashAt != 0 {
-		if se.crashed {
-			return 0
-		}
-		if se.writes >= se.crashAt {
-			se.crashed = true
-			return 0
-		}
-		if left := se.crashAt - se.writes; n >= left {
-			n = left
-			crashing = true
-		}
-	}
 	var done uint64
 	for done < n {
 		if !se.subActive() && !se.startSubRound() {
@@ -376,13 +347,10 @@ func (se *ShardedEngine) RunN(n uint64) uint64 {
 		if se.roundRem == 0 {
 			se.emitDueSnapshots()
 		}
-		// A shard that under-served its allocation has stopped (shards
-		// carry no crash faults); its outstanding quota re-splits over the
-		// survivors at the next sub-round, so the loop always either
-		// finishes n or runs out of shards.
-	}
-	if crashing && done == n {
-		se.crashed = true
+		// A shard that under-served its allocation has stopped; its
+		// outstanding quota re-splits over the survivors at the next
+		// sub-round, so the loop always either finishes n or runs out of
+		// shards.
 	}
 	return done
 }

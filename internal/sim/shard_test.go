@@ -201,22 +201,6 @@ func TestShardedRestoreRejectsGridMismatch(t *testing.T) {
 	}
 }
 
-// TestShardedCrashAfterHalts mirrors TestCrashAfterHalts on the sharded
-// chip: exactly n writes, Crashed reported, no further service.
-func TestShardedCrashAfterHalts(t *testing.T) {
-	se, _ := buildSharded(t, ckptRoles()[2], 2)
-	se.CrashAfter(777)
-	if got := se.RunN(10_000); got != 777 {
-		t.Fatalf("serviced %d writes, want 777", got)
-	}
-	if !se.Crashed() {
-		t.Fatal("chip not marked crashed")
-	}
-	if se.RunN(10) != 0 {
-		t.Fatal("crashed chip serviced more writes")
-	}
-}
-
 // shardedScale is the failure-dense experiment scale with a 4-shard grid:
 // what the sweep-level differentials below drive through Fig8's curve
 // runner and the checkpoint plan.

@@ -54,7 +54,7 @@ func TestEngineVariantsConstruct(t *testing.T) {
 					c.FreepReserveFraction = 0.05
 					c.CacheKB = 4
 				})
-				if eng.Run(500, nil) != 500 {
+				if eng.RunN(500) != 500 {
 					t.Errorf("leveler=%v prot=%v ecc=%v: fresh system could not run 500 writes", lv, prot, e)
 				}
 				for v := uint64(0); v < 3; v++ {
@@ -162,7 +162,7 @@ func TestParseKinds(t *testing.T) {
 
 func TestEngineAccessors(t *testing.T) {
 	e := tinyEngine(t, nil)
-	e.Run(1000, nil)
+	e.RunN(1000)
 	if e.Writes() != 1000 {
 		t.Errorf("writes = %d", e.Writes())
 	}
@@ -189,7 +189,7 @@ func TestEngineAccessors(t *testing.T) {
 func TestEngineDeterminism(t *testing.T) {
 	run := func() (uint64, float64) {
 		e := tinyEngine(t, nil)
-		e.Run(400_000, nil)
+		e.RunN(400_000)
 		return e.Device().DeadBlocks(), e.UsableFraction()
 	}
 	d1, u1 := run()
@@ -250,7 +250,7 @@ func TestRunNMatchesStepAtTerminalStop(t *testing.T) {
 
 func TestAccessRatioTracked(t *testing.T) {
 	e := tinyEngine(t, func(c *Config) { c.CacheKB = 4 })
-	e.Run(300_000, nil)
+	e.RunN(300_000)
 	r := e.AccessRatio()
 	if r < 1 || r > 2 {
 		t.Errorf("access ratio %v outside [1,2]", r)

@@ -18,7 +18,7 @@
 //		Kind: "mg", Blocks: cfg.Blocks, PageBlocks: cfg.BlocksPerPage, Seed: 1,
 //	})
 //	sys, _ := wlreviver.New(cfg, workload)
-//	sys.Run(10_000_000, nil)
+//	sys.RunN(10_000_000)
 //	fmt.Printf("survival %.3f usable %.3f\n", sys.SurvivalRate(), sys.UsableFraction())
 //
 // The experiment presets (Table1, Fig5 … Table2) regenerate every table

@@ -19,7 +19,7 @@ func TestQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.Run(300_000, nil)
+	sys.RunN(300_000)
 	if sys.SurvivalRate() > 1 || sys.SurvivalRate() <= 0 {
 		t.Errorf("survival %v out of range", sys.SurvivalRate())
 	}
