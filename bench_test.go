@@ -364,38 +364,55 @@ func BenchmarkEngineStepDegraded(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e, err := sim.NewEngine(cfg, gen)
+	benchStepDegraded(b, cfg, gen)
+}
+
+// BenchmarkEngineStepDegradedOcean measures the per-write cost in the
+// regime the paper sweep spends its time in: bench geometry driven by
+// Table I's ocean through the alias sampler, on a chip pre-degraded to
+// 10% dead blocks.
+func BenchmarkEngineStepDegradedOcean(b *testing.B) {
+	s := sim.BenchScale()
+	cfg := DefaultConfig()
+	cfg.Blocks = s.Blocks
+	cfg.BlocksPerPage = s.BlocksPerPage
+	cfg.MeanEndurance = s.MeanEndurance
+	cfg.GapWritePeriod = s.GapWritePeriod
+	cfg.Seed = s.Seed
+	gen, err := trace.NewBenchmark("ocean", cfg.Blocks, cfg.BlocksPerPage, cfg.Seed)
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Pre-degrade to ~10% failures.
-	for e.Device().DeadBlocks() < e.Device().NumBlocks()/10 {
-		if !e.Step() {
-			b.Fatal("memory died during warmup")
+	benchStepDegraded(b, cfg, gen)
+}
+
+// benchStepDegraded times Step on an engine over cfg and gen that was
+// first driven to 10% dead blocks.
+func benchStepDegraded(b *testing.B, cfg Config, gen trace.Generator) {
+	degraded := func() *sim.Engine {
+		e, err := sim.NewEngine(cfg, gen)
+		if err != nil {
+			b.Fatal(err)
 		}
+		for e.Device().DeadBlocks() < e.Device().NumBlocks()/10 {
+			if !e.Step() {
+				b.Fatal("memory died during warmup")
+			}
+		}
+		return e
 	}
+	e := degraded()
 	b.ReportAllocs()
 	b.ResetTimer()
-	steps := 0
 	for i := 0; i < b.N; i++ {
 		if !e.Step() {
 			// The chip died mid-measurement; restart on a fresh one so
 			// every counted iteration is a real degraded-path write.
 			b.StopTimer()
-			e, err = sim.NewEngine(cfg, gen)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for e.Device().DeadBlocks() < e.Device().NumBlocks()/10 {
-				if !e.Step() {
-					b.Fatal("memory died during warmup")
-				}
-			}
+			e = degraded()
 			b.StartTimer()
 		}
-		steps++
 	}
-	_ = steps
 }
 
 // BenchmarkEngineRunN measures the batched write loop the experiment

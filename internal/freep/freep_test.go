@@ -2,6 +2,7 @@ package freep
 
 import (
 	"errors"
+	"maps"
 	"testing"
 
 	"wlreviver/internal/ckpt"
@@ -226,21 +227,60 @@ func TestLargerReserveSurvivesLonger(t *testing.T) {
 	}
 }
 
-// TestRemapKeysAreDead pins the invariant effective's fast path rests
-// on: only a block the backend has declared dead carries a FREE-p
-// pointer, so a healthy block may skip the remap table. It must hold
-// after a failure-heavy run and again after a checkpoint round trip.
+// TestRemapKeysAreDead pins the invariants effective's lookups rest on:
+// only a block the backend has declared dead carries a FREE-p pointer,
+// so a healthy block may skip the remap table, every pointer names a
+// distinct slot that has left the free pool, and every live slot that
+// left the pool has a pointer. They must hold after a failure-heavy run
+// and again after a checkpoint round trip, which must restore every
+// pointer.
 func TestRemapKeysAreDead(t *testing.T) {
-	s := newStack(t, 64, 300, 0.10)
-	g, _ := trace.NewUniform(64, 7)
+	uniform, _ := trace.NewUniform(64, 7)
+	// Hammering one address wears out the slot behind it again and
+	// again, so pointers move off dead slots.
+	hammer, _ := trace.NewHammer(64, []uint64{5})
+	for _, c := range []struct {
+		name     string
+		g        trace.Generator
+		fraction float64
+	}{{"uniform", uniform, 0.10}, {"hammer", hammer, 0.30}} {
+		t.Run(c.name, func(t *testing.T) { checkRemapIndex(t, c.g, c.fraction) })
+	}
+}
+
+func checkRemapIndex(t *testing.T, g trace.Generator, fraction float64) {
+	s := newStack(t, 64, 300, fraction)
 	s.drive(t, g, 300_000)
-	if len(s.fp.remap) == 0 {
+	want := maps.Clone(s.fp.remap)
+	if len(want) == 0 {
 		t.Fatal("the run remapped no failed block")
 	}
 	check := func(fp *FREEp, when string) {
+		free := make(map[uint64]bool)
+		for _, slot := range fp.slots {
+			free[slot] = true
+		}
+		taken := make(map[uint64]uint64)
 		for _, da := range ckpt.KeysU64(fp.remap) {
+			slot := fp.remap[da]
 			if !s.be.Dead(da) {
 				t.Errorf("%s: FREE-p pointer on healthy DA %d", when, da)
+			}
+			if slot < s.lv.NumDAs() || slot >= s.lv.NumDAs()+fp.reserved || free[slot] {
+				t.Errorf("%s: DA %d points at %d, not a taken slot", when, da, slot)
+			}
+			if prev, dup := taken[slot]; dup {
+				t.Errorf("%s: DAs %d and %d share slot %d", when, prev, da, slot)
+			}
+			taken[slot] = da
+		}
+		// A slot leaves the pool only for a pointer, and a pointer moves
+		// off a slot only when the slot dies: every taken slot that is
+		// still alive must be pointed to.
+		for i := uint64(0); i < fp.reserved; i++ {
+			slot := s.lv.NumDAs() + i
+			if _, ok := taken[slot]; !ok && !free[slot] && !s.be.Dead(slot) {
+				t.Errorf("%s: live slot %d left the pool but no DA points at it", when, slot)
 			}
 		}
 	}
@@ -257,15 +297,15 @@ func TestRemapKeysAreDead(t *testing.T) {
 	if err := d.Section("freep"); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := New(Config{ReserveFraction: 0.10}, s.lv, s.be, s.os)
+	fresh, err := New(Config{ReserveFraction: fraction}, s.lv, s.be, s.os)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := fresh.LoadState(d); err != nil {
 		t.Fatal(err)
 	}
-	if len(fresh.remap) != len(s.fp.remap) {
-		t.Fatalf("LoadState restored %d remaps, want %d", len(fresh.remap), len(s.fp.remap))
+	if !maps.Equal(fresh.remap, want) {
+		t.Fatalf("LoadState restored remaps %v, want %v", fresh.remap, want)
 	}
 	check(fresh, "after LoadState")
 }

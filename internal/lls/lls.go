@@ -126,10 +126,16 @@ type LLS struct {
 	be  *mc.Backend    // ckpt:skip wiring; the backend checkpoints itself
 	os  *osmodel.Model // ckpt:skip wiring; the OS model checkpoints itself
 
-	groups      []group
-	chunkBlocks uint64 // ckpt:derived recomputed from cfg in New
-	maxChunks   uint64 // ckpt:derived recomputed from cfg in New
-	nextBackup  uint64 // next unallocated backup DA
+	groups []group
+	// pos is failed-list membership by data-region DA: da's index in its
+	// group's failed list plus one, 0 when da has not failed. It turns
+	// resolving a failed block into one load instead of a binary search.
+	// A DA listed twice maps to its first entry, as the search did.
+	// Allocated at the first failure.
+	pos         []uint32 // ckpt:derived rebuilt from the groups' failed lists by LoadState
+	chunkBlocks uint64   // ckpt:derived recomputed from cfg in New
+	maxChunks   uint64   // ckpt:derived recomputed from cfg in New
+	nextBackup  uint64   // next unallocated backup DA
 	st          Stats
 }
 
@@ -188,12 +194,11 @@ func (l *LLS) groupOf(da uint64) *group {
 }
 
 // backupIndex returns the order-matching index of da in its group, or -1.
-func (g *group) backupIndex(da uint64) int {
-	i := sort.Search(len(g.failed), func(i int) bool { return g.failed[i] >= da })
-	if i < len(g.failed) && g.failed[i] == da {
-		return i
+func (l *LLS) backupIndex(da uint64) int {
+	if l.pos == nil {
+		return -1
 	}
-	return -1
+	return int(l.pos[da]) - 1
 }
 
 // effective resolves a data-region DA through the group bookkeeping,
@@ -205,11 +210,11 @@ func (l *LLS) effective(da uint64) (uint64, uint64) {
 	if !l.be.Dead(da) {
 		return da, 0
 	}
-	g := l.groupOf(da)
-	i := g.backupIndex(da)
+	i := l.backupIndex(da)
 	if i < 0 {
 		return da, 0
 	}
+	g := l.groupOf(da)
 	if l.cfg.RemapCache != nil && l.cfg.RemapCache.Lookup(da) {
 		return g.backups[i], 0
 	}
@@ -275,10 +280,18 @@ func (l *LLS) handleFailure(da uint64) bool {
 			return false
 		}
 	}
+	if l.pos == nil {
+		l.pos = make([]uint32, l.lv.NumDAs())
+	}
 	i := sort.Search(len(g.failed), func(i int) bool { return g.failed[i] >= da })
 	g.failed = append(g.failed, 0)
-	copy(g.failed[i+1:], g.failed[i:])
+	// Shifting from the end leaves a DA listed twice at its lower index.
+	for k := len(g.failed) - 1; k > i; k-- {
+		g.failed[k] = g.failed[k-1]
+		l.pos[g.failed[k]] = uint32(k) + 1
+	}
 	g.failed[i] = da
+	l.pos[da] = uint32(i) + 1
 	l.st.Failures++
 	if l.cfg.RemapCache != nil {
 		l.cfg.RemapCache.Invalidate(da)
@@ -346,7 +359,7 @@ func (l *LLS) writeTo(da, tag uint64) (uint64, bool) {
 			// one backup lower). The dying block's own data is the tag
 			// in hand, rewritten on the next attempt.
 			g := l.groupOf(da)
-			i := g.backupIndex(da)
+			i := l.backupIndex(da)
 			if i < 0 {
 				return accesses, false
 			}

@@ -1,6 +1,7 @@
 package lls
 
 import (
+	"errors"
 	"testing"
 
 	"wlreviver/internal/ckpt"
@@ -254,30 +255,47 @@ func TestShiftWritesHappen(t *testing.T) {
 	}
 }
 
-// TestFailedListsAreDead pins the invariant effective's fast path rests
+// TestFailedListsAreDead pins the invariants effective's lookups rest
 // on: only a block the backend has declared dead sits in a salvaging
-// group's failed list, so a healthy block may skip the group search. It
-// must hold after a failure-heavy run and again after a checkpoint round
-// trip.
+// group's failed list, so a healthy block may skip the position index,
+// and the index gives every listed block its first list position and no
+// other block one. They must hold after a failure-heavy run and again
+// after a checkpoint round trip.
 func TestFailedListsAreDead(t *testing.T) {
 	s := newStack(t, 128, 300, 1)
 	g, _ := trace.NewUniform(128, 4)
 	s.drive(t, g, 400_000)
 	check := func(ll *LLS, when string) int {
-		n := 0
+		n, distinct := 0, 0
 		for gi, grp := range ll.groups {
-			for _, da := range grp.failed {
+			for k, da := range grp.failed {
 				n++
 				if !s.be.Dead(da) {
 					t.Errorf("%s: group %d lists healthy DA %d as failed", when, gi, da)
 				}
+				if k > 0 && grp.failed[k-1] == da {
+					continue
+				}
+				distinct++
+				if got := ll.backupIndex(da); got != k {
+					t.Errorf("%s: DA %d is failed[%d] of group %d, index says %d", when, da, k, gi, got)
+				}
 			}
+		}
+		indexed := 0
+		for _, p := range ll.pos {
+			if p != 0 {
+				indexed++
+			}
+		}
+		if indexed != distinct {
+			t.Errorf("%s: index holds %d blocks, failed lists %d", when, indexed, distinct)
 		}
 		return n
 	}
 	failed := check(s.ll, "after the run")
-	if failed == 0 {
-		t.Fatal("the run registered no failed block")
+	if failed < 2*len(s.ll.groups) {
+		t.Fatalf("the run registered %d failed blocks; too few to shift a list", failed)
 	}
 
 	e := ckpt.NewEncoder()
@@ -300,5 +318,49 @@ func TestFailedListsAreDead(t *testing.T) {
 	}
 	if got := check(fresh, "after LoadState"); got != failed {
 		t.Fatalf("LoadState restored %d failed blocks, want %d", got, failed)
+	}
+}
+
+// TestLoadStateRejectsMisplacedFailure: a failed list out of ascending
+// order, holding another group's block, or naming a DA outside the data
+// region cannot come from SaveState, and LoadState must refuse it
+// rather than index with it.
+func TestLoadStateRejectsMisplacedFailure(t *testing.T) {
+	s := newStack(t, 128, 1e9, 1)
+	for _, failed := range [][]uint64{
+		{8, 4},              // descending
+		{5},                 // group 1's block in group 0
+		{s.lv.NumDAs() * 4}, // outside the data region
+	} {
+		e := ckpt.NewEncoder()
+		e.Begin("lls")
+		e.U32(uint32(len(s.ll.groups)))
+		for gi := range s.ll.groups {
+			if gi == 0 {
+				e.U64s(failed)
+			} else {
+				e.U64s(nil)
+			}
+			e.U64s(nil)
+		}
+		for i := 0; i < 7; i++ {
+			e.U64(0)
+		}
+		e.Bool(false)
+		e.End()
+		d, err := ckpt.NewDecoder(e.Finish())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Section("lls"); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := New(Config{ChunkPages: 1, SalvageGroups: 4}, s.lv, s.be, s.os)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.LoadState(d); !errors.Is(err, ckpt.ErrBadCheckpoint) {
+			t.Errorf("failed list %v: LoadState = %v, want ErrBadCheckpoint", failed, err)
+		}
 	}
 }

@@ -28,6 +28,12 @@
 // with materialized schedules live in a sparse index instead of three
 // more per-block arrays.
 //
+// Writes that cannot fail a cell skip all failure bookkeeping under a
+// chip-wide failure horizon. Re-arming it reads only the 8-block chunks
+// written since the last re-arm, against a tournament tree of per-chunk
+// minimum margins, so a degraded chip that re-arms every few writes
+// reads a few chunks per re-arm instead of the whole chip.
+//
 // The device is policy-free: it reports new cell failures on each write
 // and lets an error-correction scheme (package ecc) decide when a block is
 // dead. Dead blocks keep accepting accesses (a real chip cannot refuse
@@ -227,11 +233,13 @@ func lifeLowerBounds(mean, sigma float64, cells int) []uint64 {
 	return t
 }
 
-// chunkShift sets the incremental rescan's granularity: 64 blocks per
+// chunkShift sets the incremental rescan's granularity: 8 blocks per
 // chunk, one dirty bit each. A rescan re-reads every dirty chunk whole,
-// so a degraded chip that rescans every few writes reads a few hundred
-// blocks instead of the whole chip.
-const chunkShift = 6
+// and a degraded chip re-arms after only a few writes, so most dirty
+// chunks hold one written block: the smaller the chunk, the fewer
+// untouched blocks a rescan re-reads (EXPERIMENTS.md § Incremental
+// failure-horizon rescan). minTree costs 16 B per chunk, 2 B per block.
+const chunkShift = 3
 
 // NewDevice builds a chip from cfg.
 func NewDevice(cfg Config) (*Device, error) {

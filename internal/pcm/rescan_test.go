@@ -169,11 +169,13 @@ func lowestBoundBlock(d *Device) BlockID {
 
 // TestIncrementalHorizonMatchesFullScan checks that the incremental
 // rescan arms exactly the full scan's (horizon, rescanIn) after every
-// operation, across geometries around the chunk size (a single block, a
-// partial single chunk, one exact chunk, a partial last chunk, and bench
-// size plus Start-Gap's gap block) and streams that reach the degraded
-// regime of short horizons, with MarkDead, PeekNextFailure and a
-// mid-stream checkpoint restore interleaved.
+// operation, across geometries derived from chunkShift (a single block,
+// a partial single chunk, one exact chunk, a partial last chunk, the
+// same around 64 chunks where the dirty bitmap spills into a second
+// word, 63–65 blocks, and bench size plus Start-Gap's gap block) and
+// streams that reach the degraded regime of short horizons, with
+// MarkDead, PeekNextFailure and a mid-stream checkpoint restore
+// interleaved.
 func TestIncrementalHorizonMatchesFullScan(t *testing.T) {
 	streams := []struct {
 		name      string
@@ -193,7 +195,11 @@ func TestIncrementalHorizonMatchesFullScan(t *testing.T) {
 		{name: "low-endurance-high-cov", mean: 12, cov: 0.6, perBlock: 40,
 			pick: func(src *rng.Source, _ int, n uint64) BlockID { return BlockID(src.Uint64n(n)) }},
 	}
-	for _, n := range []uint64{1, 63, 64, 65, 1<<13 + 1} {
+	// Sizes around one chunk, around a run of whole chunks (63–65), and
+	// around 64 chunks, where the dirty bitmap needs a second word, and
+	// one well past all of them.
+	const chunk = 1 << chunkShift
+	for _, n := range []uint64{1, chunk - 1, chunk, chunk + 1, 63, 64, 65, 64*chunk - 1, 64 * chunk, 64*chunk + 1, 1<<13 + 1} {
 		for _, s := range streams {
 			cfg := Config{
 				NumBlocks:     n,

@@ -60,6 +60,25 @@ func (r *Source) Uint64() uint64 {
 	return result
 }
 
+// Fill fills dst with the next len(dst) outputs, exactly the values and
+// the final state that len(dst) successive Uint64 calls would produce.
+// The four state words stay in locals for the whole batch, so a bulk
+// draw costs no loads or stores of the state per value.
+func (r *Source) Fill(dst []uint64) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for i := range dst {
+		dst[i] = rotl(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+}
+
 // Uint64n returns a uniform integer in [0, n). It panics if n == 0.
 // Uses Lemire's multiply-shift rejection method.
 func (r *Source) Uint64n(n uint64) uint64 {

@@ -221,10 +221,43 @@ func TestMul64(t *testing.T) {
 	}
 }
 
+// TestFillMatchesUint64 pins the bulk path to the reference: Fill(dst)
+// yields the values len(dst) successive Uint64 calls would, and leaves
+// the identical state, for batch lengths that do and do not divide the
+// stream.
+func TestFillMatchesUint64(t *testing.T) {
+	for _, n := range []int{0, 1, 3, 512, 1000} {
+		ref, bulk := New(uint64(n)+7), New(uint64(n)+7)
+		ref.Uint64() // start both mid-stream
+		bulk.Uint64()
+		for round := 0; round < 3; round++ {
+			dst := make([]uint64, n)
+			bulk.Fill(dst)
+			for i, got := range dst {
+				if want := ref.Uint64(); got != want {
+					t.Fatalf("n=%d round %d: Fill[%d] = %x, Uint64 = %x", n, round, i, got, want)
+				}
+			}
+			if bulk.State() != ref.State() {
+				t.Fatalf("n=%d round %d: Fill left state %x, Uint64 %x", n, round, bulk.State(), ref.State())
+			}
+		}
+	}
+}
+
 func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
 		_ = r.Uint64()
+	}
+}
+
+// BenchmarkFill measures the bulk draw per value, against BenchmarkUint64.
+func BenchmarkFill(b *testing.B) {
+	r := New(1)
+	buf := make([]uint64, 512)
+	for i := 0; i < b.N; i += len(buf) {
+		r.Fill(buf)
 	}
 }
 

@@ -562,16 +562,18 @@ func (f *Fleet) spillAll(victims []*resident) {
 // was reloaded (or deleted) before the spill got the lock — writing
 // the eviction-time image then would clobber the new owner's
 // checkpoint and truncate journal records of writes it has since
-// acknowledged.
+// acknowledged. A clean victim, one with no write since its last
+// durable checkpoint, is not checkpointed again either: what its
+// directory holds already rebuilds exactly this engine.
 func (f *Fleet) spill(res *resident) error {
 	res.d.diskMu.Lock()
 	defer res.d.diskMu.Unlock()
 	f.mu.Lock()
 	stale := res.d.cur != res
 	f.mu.Unlock()
-	if stale {
+	if stale || res.sinceCkpt == 0 {
 		// The journal already covers every write this image would
-		// save; just drop the superseded handle.
+		// save; just drop the superseded or clean handle.
 		return res.jl.close()
 	}
 	_, err := f.saveCheckpointLocked(res)

@@ -659,6 +659,67 @@ func TestEvictionBudgetAndSpillHygiene(t *testing.T) {
 	}
 }
 
+// TestCleanSpillKeepsCheckpoint: a device reloaded from its spill and
+// then only read (status and metrics) is evicted again without a new
+// checkpoint. The checkpoint file keeps its bytes and its inode, and
+// the next reload restores the identical engine.
+func TestCleanSpillKeepsCheckpoint(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.MaxResident = 1
+	f, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	ctx := context.Background()
+	for i, id := range []string{"a", "b"} {
+		if err := f.Create(id, testSpec(uint64(40+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := f.Write(ctx, "a", 2_000); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Status(ctx, "b"); err != nil { // evicts a, dirty
+		t.Fatal(err)
+	}
+	path := filepath.Join(cfg.Dir, "a", ckptFile)
+	spilled, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Status(ctx, "a"); err != nil { // reloads a, evicts b
+		t.Fatal(err)
+	}
+	if _, err := f.Metrics(ctx, "a"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Status(ctx, "b"); err != nil { // evicts a, clean
+		t.Fatal(err)
+	}
+	after, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(before, after) {
+		t.Error("evicting a clean device replaced its checkpoint file")
+	}
+	if again, err := os.ReadFile(path); err != nil || !bytes.Equal(again, spilled) {
+		t.Errorf("evicting a clean device changed its checkpoint bytes (read error %v)", err)
+	}
+	img, err := f.Checkpoint(ctx, "a") // reloads a once more
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(img, spilled) {
+		t.Error("the reload after a clean spill restored a different engine")
+	}
+}
+
 // TestFleetErrors pins the taxonomy on the registry paths.
 func TestFleetErrors(t *testing.T) {
 	cfg := testConfig(t)

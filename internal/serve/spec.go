@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 
 	"wlreviver/internal/obs"
@@ -24,7 +25,9 @@ type DeviceSpec struct {
 
 	// Geometry and media. Zero values take the sim.DefaultConfig
 	// scaled-paper values. BlocksPerPage must be a power of two that
-	// divides Blocks; any other page size is a bad config (HTTP 400).
+	// divides Blocks; any other page size is a bad config (HTTP 400), as
+	// is a Blocks above 2^24, the paper's 1 GB chip (see admissible for
+	// the knobs bounded by the chip).
 	Blocks        uint64  `json:"blocks,omitempty"`
 	BlocksPerPage uint64  `json:"blocks_per_page,omitempty"`
 	CellsPerBlock int     `json:"cells_per_block,omitempty"`
@@ -143,7 +146,51 @@ func (s DeviceSpec) config() (sim.Config, error) {
 	if s.CacheKB != 0 {
 		cfg.CacheKB = s.CacheKB
 	}
+	if err := admissible(cfg, s.Workload); err != nil {
+		return sim.Config{}, err
+	}
 	return cfg, nil
+}
+
+// maxBlocks is the largest chip a tenant may declare: the paper's 1 GB
+// chip of 2^24 64-byte blocks (§IV-A).
+const maxBlocks = 1 << 24
+
+// maxCacheKB caps the remap cache at one 8-byte entry per block of the
+// largest chip; a bigger cache could never fill.
+const maxCacheKB = maxBlocks * 8 / 1024
+
+// admissible rejects geometry no admissible chip can use, before the
+// engine sizes anything from it. With Blocks bounded, each knob below is
+// bounded by the tenant's own chip, so every per-block, per-region and
+// per-group allocation the engine makes is too: regions and salvaging
+// groups hold at least one block, an LLS chunk fits the chip, and the
+// FREE-p and LLS spare regions are at most the data region again.
+func admissible(cfg sim.Config, w trace.Spec) error {
+	var why string
+	switch {
+	case cfg.Blocks > maxBlocks:
+		why = fmt.Sprintf("blocks %d exceed the %d-block paper chip", cfg.Blocks, maxBlocks)
+	case cfg.CacheKB > maxCacheKB:
+		why = fmt.Sprintf("cache_kb %d exceeds %d, one entry per block of the paper chip", cfg.CacheKB, maxCacheKB)
+	case cfg.SRInnerRegions > cfg.Blocks:
+		why = fmt.Sprintf("sr_inner_regions %d exceed the chip's %d blocks", cfg.SRInnerRegions, cfg.Blocks)
+	case cfg.SGRegions > cfg.Blocks:
+		why = fmt.Sprintf("sg_regions %d exceed the chip's %d blocks", cfg.SGRegions, cfg.Blocks)
+	case w.Blocks != 0 && w.Blocks != cfg.Blocks:
+		why = fmt.Sprintf("workload covers %d blocks, the chip has %d", w.Blocks, cfg.Blocks)
+	case cfg.Protector == sim.ProtectorLLS && cfg.LLSChunkPages > cfg.Blocks/cfg.BlocksPerPage:
+		why = fmt.Sprintf("lls_chunk_pages %d exceed the chip's %d pages", cfg.LLSChunkPages, cfg.Blocks/cfg.BlocksPerPage)
+	case cfg.Protector == sim.ProtectorLLS && cfg.LLSSalvageGroups > cfg.Blocks:
+		why = fmt.Sprintf("lls_salvage_groups %d exceed the chip's %d blocks", cfg.LLSSalvageGroups, cfg.Blocks)
+	case cfg.Protector == sim.ProtectorLLS && (cfg.LLSBackupFraction < 0 || cfg.LLSBackupFraction > 1):
+		why = fmt.Sprintf("lls_backup_fraction %v outside [0, 1]", cfg.LLSBackupFraction)
+	case cfg.Protector == sim.ProtectorFREEp && (cfg.FreepReserveFraction < 0 || cfg.FreepReserveFraction > 0.5):
+		why = fmt.Sprintf("freep_reserve_fraction %v outside [0, 0.5]", cfg.FreepReserveFraction)
+	default:
+		return nil
+	}
+	return fmt.Errorf("serve: %s: %w", why, sim.ErrBadConfig)
 }
 
 // workload resolves the spec's workload declaration against the device
@@ -176,6 +223,10 @@ func buildEngine(s DeviceSpec) (*sim.Engine, error) {
 	}
 	gen, err := trace.NewFromSpec(s.workload(cfg))
 	if err != nil {
+		if !errors.Is(err, trace.ErrUnknownWorkload) {
+			// A workload the generator refuses is a bad spec too.
+			err = fmt.Errorf("serve: %w: %w", err, sim.ErrBadConfig)
+		}
 		return nil, err
 	}
 	cfg.Observer = obs.NewMetrics()

@@ -177,6 +177,37 @@ func TestCalibrateWeightsPinned(t *testing.T) {
 	}
 }
 
+// TestSampleBatchMatchesSample pins the batched alias sampler to its
+// single-draw reference on every Table I workload at bench geometry:
+// SampleBatch must return exactly the successive Sample draws and leave
+// the sampler's RNG in the identical state, for batch lengths that do
+// and do not divide the engine's 512-address prefetch.
+func TestSampleBatchMatchesSample(t *testing.T) {
+	for _, name := range BenchmarkNames() {
+		ref, err := NewBenchmark(name, 1<<13, 64, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bulk, err := NewBenchmark(name, 1<<13, 64, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{1, 7, 512, 513, 2000} {
+			dst := make([]uint64, n)
+			bulk.alias.SampleBatch(dst)
+			for i, got := range dst {
+				if want := ref.alias.Sample(); got != want {
+					t.Fatalf("%s batch %d: SampleBatch[%d] = %d, Sample = %d", name, n, i, got, want)
+				}
+			}
+			if bulk.alias.src.State() != ref.alias.src.State() {
+				t.Fatalf("%s batch %d: SampleBatch left RNG state %x, Sample %x",
+					name, n, bulk.alias.src.State(), ref.alias.src.State())
+			}
+		}
+	}
+}
+
 func newBenchAlias(b *testing.B, n int) *Alias {
 	b.Helper()
 	src := rng.New(9)
@@ -211,6 +242,26 @@ func BenchmarkAliasBatch(b *testing.B) {
 		a.SampleBatch(buf)
 	}
 	traceBenchSink = buf[0]
+}
+
+// BenchmarkWorkloadBatch measures the sampler as the paper sweep drives
+// it: each Table I workload at bench geometry (2^13 blocks), 512
+// addresses per NextBatch, in ns per address.
+func BenchmarkWorkloadBatch(b *testing.B) {
+	for _, name := range BenchmarkNames() {
+		b.Run(name, func(b *testing.B) {
+			g, err := NewBenchmark(name, 1<<13, 64, 42)
+			if err != nil {
+				b.Fatal(err)
+			}
+			buf := make([]uint64, 512)
+			b.ResetTimer()
+			for i := 0; i < b.N; i += len(buf) {
+				g.NextBatch(buf)
+			}
+			traceBenchSink = buf[0]
+		})
+	}
 }
 
 var traceBenchSink uint64

@@ -50,9 +50,17 @@ type BatchGenerator interface {
 
 // Alias is Walker/Vose alias-method sampler over n weighted outcomes.
 type Alias struct {
-	prob  []float64 // ckpt:derived rebuilt from the weights the owner reconstructs
-	alias []uint32  // ckpt:derived rebuilt from the weights the owner reconstructs
-	src   *rng.Source
+	cols []aliasColumn // ckpt:derived rebuilt from the weights the owner reconstructs
+	src  *rng.Source
+}
+
+// aliasColumn is one column of the alias table: the probability of
+// keeping the column's own outcome and the outcome taken otherwise. A
+// sample reads both, so they share one 16-byte record (one cache line)
+// instead of living in two parallel slices.
+type aliasColumn struct {
+	prob  float64
+	alias uint64
 }
 
 // NewAlias builds a sampler for the given non-negative weights. At least
@@ -75,11 +83,7 @@ func NewAlias(weights []float64, src *rng.Source) (*Alias, error) {
 	if sum <= 0 {
 		return nil, fmt.Errorf("trace: all weights are zero")
 	}
-	a := &Alias{
-		prob:  make([]float64, n),
-		alias: make([]uint32, n),
-		src:   src,
-	}
+	a := &Alias{cols: make([]aliasColumn, n), src: src}
 	scaled := make([]float64, n)
 	small := make([]uint32, 0, n)
 	large := make([]uint32, 0, n)
@@ -96,8 +100,7 @@ func NewAlias(weights []float64, src *rng.Source) (*Alias, error) {
 		small = small[:len(small)-1]
 		l := large[len(large)-1]
 		large = large[:len(large)-1]
-		a.prob[s] = scaled[s]
-		a.alias[s] = l
+		a.cols[s] = aliasColumn{prob: scaled[s], alias: uint64(l)}
 		scaled[l] -= 1 - scaled[s]
 		if scaled[l] < 1 {
 			small = append(small, l)
@@ -106,10 +109,10 @@ func NewAlias(weights []float64, src *rng.Source) (*Alias, error) {
 		}
 	}
 	for _, i := range large {
-		a.prob[i] = 1
+		a.cols[i].prob = 1
 	}
 	for _, i := range small {
-		a.prob[i] = 1 // numerical leftovers
+		a.cols[i].prob = 1 // numerical leftovers
 	}
 	return a, nil
 }
@@ -119,26 +122,31 @@ func NewAlias(weights []float64, src *rng.Source) (*Alias, error) {
 // bias is O(n/2^64)) and the low bits, reused as a fixed-point fraction,
 // decide column vs alias. Half the RNG work of the classic two-draw
 // formulation; the sampled stream differs from it, which Table I's CoV
-// harness revalidates.
+// harness revalidates. Sample is the reference SampleBatch must match.
 func (a *Alias) Sample() uint64 {
-	hi, lo := bits.Mul64(a.src.Uint64(), uint64(len(a.prob)))
-	if float64(lo>>11)*(1.0/(1<<53)) < a.prob[hi] {
+	hi, lo := bits.Mul64(a.src.Uint64(), uint64(len(a.cols)))
+	if float64(lo>>11)*(1.0/(1<<53)) < a.cols[hi].prob {
 		return hi
 	}
-	return uint64(a.alias[hi])
+	return a.cols[hi].alias
 }
 
-// SampleBatch fills dst with len(dst) successive Sample draws.
+// SampleBatch fills dst with len(dst) successive Sample draws. The raw
+// draws come from one rng.Fill, and each is then mapped in place; the
+// column-or-alias choice is a select, not a branch, since which side a
+// draw lands on is as random as the draw.
 func (a *Alias) SampleBatch(dst []uint64) {
-	n := uint64(len(a.prob))
-	prob, alias, src := a.prob, a.alias, a.src
-	for i := range dst {
-		hi, lo := bits.Mul64(src.Uint64(), n)
-		if float64(lo>>11)*(1.0/(1<<53)) < prob[hi] {
-			dst[i] = hi
-		} else {
-			dst[i] = uint64(alias[hi])
+	a.src.Fill(dst)
+	n := uint64(len(a.cols))
+	cols := a.cols
+	for i, u := range dst {
+		hi, lo := bits.Mul64(u, n)
+		c := cols[hi]
+		v := c.alias
+		if float64(lo>>11)*(1.0/(1<<53)) < c.prob {
+			v = hi
 		}
+		dst[i] = v
 	}
 }
 

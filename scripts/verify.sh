@@ -73,6 +73,11 @@ go test -run '^$' -bench . -benchtime 1x ./internal/pcm
 echo "== go test -run '^\$' -bench . -benchtime 1x ./internal/reviver"
 go test -run '^$' -bench . -benchtime 1x ./internal/reviver
 
+# And for the workload samplers: BenchmarkWorkloadBatch must still build
+# every Table I workload at bench geometry.
+echo "== go test -run '^\$' -bench . -benchtime 1x ./internal/trace"
+go test -run '^$' -bench . -benchtime 1x ./internal/trace
+
 # And for the daemon's write-body decoder: BenchmarkWriteBodyDecode
 # must still decode its body.
 echo "== go test -run '^\$' -bench . -benchtime 1x ./internal/serve"
