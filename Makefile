@@ -55,12 +55,13 @@ microbench:
 # Brief fuzzing pass over the checkpoint wire format, the engine
 # restore path, WL-Reviver's reboot-image decoder, the metrics counter
 # decoder, the Start-Gap mapping
-# algebra, the PCM device's incremental failure-horizon rescan, and
+# algebra, the PCM device's incremental failure-horizon rescan,
 # wlserved's write-body decoder, journal replay and spec.json
-# resolution. Each
-# target's seed corpus lives in its package's testdata/fuzz/ and replays
-# as part of the ordinary test suite (the CI smoke run); this target
-# additionally explores new inputs for a few seconds each.
+# resolution, and the workload calibration's certified replay of its
+# bisection. Each target's seed corpus lives in its package's
+# testdata/fuzz/ and replays as part of the ordinary test suite (the CI
+# smoke run); this target additionally explores new inputs for a few
+# seconds each.
 fuzz:
 	go test ./internal/ckpt -fuzz FuzzCheckpointRoundTrip -fuzztime 10s
 	go test ./internal/ckpt -fuzz FuzzDecoderNeverPanics -fuzztime 10s
@@ -74,6 +75,7 @@ fuzz:
 	go test ./internal/serve -fuzz FuzzWriteBody -fuzztime 10s
 	go test ./internal/serve -fuzz FuzzJournalReplay -fuzztime 10s
 	go test ./internal/serve -fuzz FuzzDeviceSpec -fuzztime 10s
+	go test ./internal/trace -fuzz FuzzCalibrate -fuzztime 10s
 
 # wlserved crash-durability smoke: drive 50 devices with wlload,
 # kill -9 the daemon mid-run, restart over the same spill directory and

@@ -283,6 +283,12 @@ func (l *LLS) handleFailure(da uint64) bool {
 	if l.pos == nil {
 		l.pos = make([]uint32, l.lv.NumDAs())
 	}
+	if l.pos[da] != 0 {
+		// A relocation write of the reservation landed on da itself, and
+		// the nested handleFailure has already registered and reshifted
+		// it.
+		return true
+	}
 	i := sort.Search(len(g.failed), func(i int) bool { return g.failed[i] >= da })
 	g.failed = append(g.failed, 0)
 	// Shifting from the end leaves a DA listed twice at its lower index.

@@ -321,14 +321,15 @@ func TestFailedListsAreDead(t *testing.T) {
 	}
 }
 
-// TestLoadStateRejectsMisplacedFailure: a failed list out of ascending
-// order, holding another group's block, or naming a DA outside the data
-// region cannot come from SaveState, and LoadState must refuse it
-// rather than index with it.
+// TestLoadStateRejectsMisplacedFailure: a failed list out of strictly
+// ascending order, holding another group's block, or naming a DA outside
+// the data region cannot come from SaveState, and LoadState must refuse
+// it rather than index with it.
 func TestLoadStateRejectsMisplacedFailure(t *testing.T) {
 	s := newStack(t, 128, 1e9, 1)
 	for _, failed := range [][]uint64{
 		{8, 4},              // descending
+		{4, 4},              // one block listed twice
 		{5},                 // group 1's block in group 0
 		{s.lv.NumDAs() * 4}, // outside the data region
 	} {

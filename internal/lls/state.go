@@ -71,24 +71,20 @@ func (l *LLS) LoadState(dec *ckpt.Decoder) error {
 }
 
 // indexFailed builds the pos index over restored failed lists, nil when
-// nothing has failed. Each list must hold non-descending data-region DAs
-// of its own group, as handleFailure keeps it; anything else is a
-// corrupt image. A DA listed twice (handleFailure can re-enter for the
-// same block while reserving a chunk) resolves to its first entry, the
-// one a search of the sorted list finds.
+// nothing has failed. Each list must hold strictly ascending data-region
+// DAs of its own group, as handleFailure keeps it; anything else is a
+// corrupt image.
 func (l *LLS) indexFailed(groups []group) ([]uint32, error) {
 	var pos []uint32
 	for gi, g := range groups {
 		for k, da := range g.failed {
-			if da >= l.lv.NumDAs() || da%uint64(len(groups)) != uint64(gi) || (k > 0 && da < g.failed[k-1]) {
+			if da >= l.lv.NumDAs() || da%uint64(len(groups)) != uint64(gi) || (k > 0 && da <= g.failed[k-1]) {
 				return nil, fmt.Errorf("lls: group %d lists failed DA %d out of place: %w", gi, da, ckpt.ErrBadCheckpoint)
 			}
 			if pos == nil {
 				pos = make([]uint32, l.lv.NumDAs())
 			}
-			if pos[da] == 0 {
-				pos[da] = uint32(k) + 1
-			}
+			pos[da] = uint32(k) + 1
 		}
 	}
 	return pos, nil

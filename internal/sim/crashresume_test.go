@@ -69,6 +69,8 @@ func ckptRoles() []ckptRole {
 			c.FreepReserveFraction = 0.10
 		}, benchGen("mg")},
 		{"sw-wlr", func(c *Config) { c.Leveler = LevelerSoftWear }, ocean},
+		// A chunk reservation here relocates data onto a block failing at
+		// that moment; its restore fails if LLS lists that block twice.
 		{"sw-lls", func(c *Config) {
 			c.Leveler = LevelerSoftWear
 			c.SWEpochWrites = 64

@@ -103,60 +103,9 @@ func TestNextBatchMatchesNext(t *testing.T) {
 	}
 }
 
-// calibrateWeightsRef is the pre-optimization implementation (separate
-// expAt allocation + two-pass covOf per bisection probe), kept verbatim as
-// the reference the fused version must match bit for bit.
-func calibrateWeightsRef(logW []float64, targetCoV float64) []float64 {
-	maxLog := logW[0]
-	for _, l := range logW {
-		if l > maxLog {
-			maxLog = l
-		}
-	}
-	expAt := func(alpha float64) []float64 {
-		w := make([]float64, len(logW))
-		for i, l := range logW {
-			w[i] = math.Exp(alpha * (l - maxLog))
-		}
-		return w
-	}
-	covOf := func(w []float64) float64 {
-		var mean float64
-		for _, x := range w {
-			mean += x
-		}
-		mean /= float64(len(w))
-		var m2 float64
-		for _, x := range w {
-			d := x - mean
-			m2 += d * d
-		}
-		if mean == 0 {
-			return 0
-		}
-		return math.Sqrt(m2/float64(len(w))) / mean
-	}
-	if targetCoV == 0 {
-		return expAt(0)
-	}
-	lo, hi := 0.0, 1.0
-	for i := 0; i < 60 && covOf(expAt(hi)) < targetCoV; i++ {
-		lo = hi
-		hi *= 2
-	}
-	for i := 0; i < 50; i++ {
-		mid := (lo + hi) / 2
-		if covOf(expAt(mid)) < targetCoV {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return expAt(hi)
-}
-
-// TestCalibrateWeightsPinned requires the fused scratch-buffer calibration
-// to reproduce the reference implementation's weights bit for bit.
+// TestCalibrateWeightsPinned pins the calibration on unpaged fields of
+// odd sizes to the reference bisection: alpha, and the weights
+// expWeights materialises from it, bit for bit.
 func TestCalibrateWeightsPinned(t *testing.T) {
 	src := rng.New(31337)
 	for _, size := range []int{1, 63, 4096} {
@@ -165,8 +114,9 @@ func TestCalibrateWeightsPinned(t *testing.T) {
 			logW[i] = src.NormFloat64()
 		}
 		for _, target := range []float64{0, 0.2, 1.15, 2.54, 9.77, 100} {
-			got := expWeights(logW, calibrateAlpha(logW, target))
-			want := calibrateWeightsRef(logW, target)
+			alpha, _ := calibrateAlpha(logW, target)
+			got := expWeights(logW, alpha)
+			_, want := bisectWeights(logW, target)
 			for i := range want {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 					t.Fatalf("size %d target %g: weight %d = %x, want %x",

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 
 	"wlreviver/internal/rng"
 )
@@ -195,33 +194,20 @@ func NewWeighted(cfg WeightedConfig) (*Weighted, error) {
 	}
 	src := rng.New(cfg.Seed ^ 0x7A5CE5)
 	wsrc := src.Fork(1)
-	// Generate a unit lognormal log-weight field, correlated within
-	// pages (80% of the log-variance at page granularity).
-	pageSigma := math.Sqrt(0.8)
-	blockSigma := math.Sqrt(0.2)
-	logW := make([]float64, cfg.NumBlocks)
-	var pageW float64
-	for b := uint64(0); b < cfg.NumBlocks; b++ {
-		if b%cfg.PageBlocks == 0 {
-			pageW = pageSigma * wsrc.NormFloat64()
-		}
-		logW[b] = pageW + blockSigma*wsrc.NormFloat64()
-	}
+	logW := logWeights(cfg, wsrc)
 	// The asymptotic lognormal CoV badly overstates what a finite sample
 	// exhibits (the tail mass is too rare to be drawn), so calibrate
-	// empirically: weights = exp(alpha*logW) with alpha chosen by
-	// bisection so the sample CoV of the weights equals TargetCoV. The
-	// chosen alpha is a pure function of (NumBlocks, PageBlocks, Seed,
-	// TargetCoV) — the field is fully determined by the first three — so
-	// it is memoized: experiment arms re-deriving the same workload (and
-	// sharded chips re-deriving the same shard streams) skip the ~110
-	// bisection probes, each a pass over the whole field.
+	// empirically: weights = exp(alpha*logW) with alpha chosen so the
+	// sample CoV of the weights equals TargetCoV (see calibrateAlpha).
+	// The chosen alpha is a pure function of (NumBlocks, PageBlocks,
+	// Seed, TargetCoV) — the field is fully determined by the first
+	// three — so it is memoized.
 	key := calKey{numBlocks: cfg.NumBlocks, pageBlocks: cfg.PageBlocks, targetCoV: cfg.TargetCoV, seed: cfg.Seed}
 	calMu.Lock()
 	alpha, hit := calCache[key]
 	calMu.Unlock()
 	if !hit {
-		alpha = calibrateAlpha(logW, cfg.TargetCoV)
+		alpha, _ = calibrateAlpha(logW, cfg.TargetCoV)
 		calMu.Lock()
 		calCache[key] = alpha
 		calMu.Unlock()
@@ -264,96 +250,6 @@ func (w *Weighted) NextBatch(dst []uint64) {
 	for i := range dst {
 		dst[i] = w.Next()
 	}
-}
-
-// calKey identifies one calibration problem: the log-weight field is a
-// pure function of (numBlocks, pageBlocks, seed), and the bisection's
-// answer additionally of targetCoV.
-type calKey struct {
-	numBlocks  uint64
-	pageBlocks uint64
-	targetCoV  float64
-	seed       uint64
-}
-
-var (
-	calMu    sync.Mutex
-	calCache = map[calKey]float64{}
-)
-
-// calibrateAlpha returns alpha >= 0 chosen by bisection so the sample
-// CoV of exp(alpha*logW) matches targetCoV as closely as the field
-// allows. alpha = 0 yields uniform weights. The log-weights are shifted
-// by their maximum before exponentiation so arbitrary alphas cannot
-// overflow; CoV is scale-invariant, so the shift does not affect
-// calibration.
-func calibrateAlpha(logW []float64, targetCoV float64) float64 {
-	if targetCoV == 0 {
-		return 0
-	}
-	maxLog := logW[0]
-	for _, l := range logW {
-		if l > maxLog {
-			maxLog = l
-		}
-	}
-	n := float64(len(logW))
-	// The bisection probes ~110 alphas; each probe reuses one scratch
-	// buffer, fusing exponentiation with the mean accumulation. Element
-	// order and operation order match the original expAt+covOf
-	// formulation exactly, so the probed CoVs — and therefore the chosen
-	// alpha and final weights — are bit-identical (pinned by test).
-	scratch := make([]float64, len(logW))
-	covAt := func(alpha float64) float64 {
-		var mean float64
-		for i, l := range logW {
-			x := math.Exp(alpha * (l - maxLog))
-			scratch[i] = x
-			mean += x
-		}
-		mean /= n
-		var m2 float64
-		for _, x := range scratch {
-			d := x - mean
-			m2 += d * d
-		}
-		if mean == 0 {
-			return 0
-		}
-		return math.Sqrt(m2/n) / mean
-	}
-	// Expand the upper bracket until the CoV crosses the target or the
-	// field saturates (a finite sample's CoV is capped near sqrt(n-1)).
-	lo, hi := 0.0, 1.0
-	for i := 0; i < 60 && covAt(hi) < targetCoV; i++ {
-		lo = hi
-		hi *= 2
-	}
-	for i := 0; i < 50; i++ {
-		mid := (lo + hi) / 2
-		if covAt(mid) < targetCoV {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return hi
-}
-
-// expWeights materialises exp(alpha*(logW-max)), the weight field the
-// bisection's final probe saw.
-func expWeights(logW []float64, alpha float64) []float64 {
-	maxLog := logW[0]
-	for _, l := range logW {
-		if l > maxLog {
-			maxLog = l
-		}
-	}
-	w := make([]float64, len(logW))
-	for i, l := range logW {
-		w[i] = math.Exp(alpha * (l - maxLog))
-	}
-	return w
 }
 
 // Uniform writes every block with equal probability.
