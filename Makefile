@@ -1,6 +1,6 @@
 # Convenience targets; scripts/verify.sh is the canonical gate.
 
-.PHONY: build test verify bench benchgate bench-baseline microbench paper fuzz serve-smoke
+.PHONY: build test verify metrics microbench paper fuzz serve-smoke
 
 build:
 	go build ./...
@@ -14,39 +14,12 @@ test:
 verify:
 	sh scripts/verify.sh
 
-# Perf-trajectory snapshot: run the full experiment suite at the reduced
-# tiny scale and record per-experiment wall-clock and writes/sec as
-# BENCH_<timestamp>.json plus every engine's event counters and snapshot
-# series as METRICS_<timestamp>.json, then the Figure 6 experiment on an
-# 8-shard grid once per shard-pool width (1, 2, all CPUs) as
-# BENCH_<timestamp>-shards<N>.json — like-for-like rows whose ratios are
-# this machine's intra-engine speedup (compare with
-# `go run ./cmd/paper -benchdiff old.json new.json`). EXPERIMENTS.md
-# documents both JSON schemas; compare BENCH snapshots across commits to
-# track the hot path.
-bench:
-	stamp=$$(date +%Y%m%d-%H%M%S) && \
-	go run ./cmd/paper -scale tiny -exp all \
-		-benchjson BENCH_$$stamp.json -metrics METRICS_$$stamp.json && \
-	for n in 1 2 0; do \
-		go run ./cmd/paper -scale tiny -exp fig6 -workers 1 \
-			-shard-grid 8 -shards $$n -timing=false \
-			-benchjson BENCH_$$stamp-shards$$n.json >/dev/null || exit 1; \
-	done
-
-# CI perf gate: rerun the tiny-scale sweep and fail if total writes/sec
-# falls more than 10% below the committed baseline. The baseline is
-# hardware-specific — after a deliberate perf change (or a runner-class
-# change) regenerate it with `make bench-baseline` and commit the diff;
-# the benchdiff table this prints shows exactly which experiment moved.
-benchgate:
-	go run ./cmd/paper -scale tiny -exp all -timing=false \
-		-benchjson BENCH_gate.json >/dev/null
-	go run ./cmd/paper -benchdiff -gate 10 bench/ci-baseline.json BENCH_gate.json
-
-bench-baseline:
-	go run ./cmd/paper -scale tiny -exp all -timing=false \
-		-benchjson bench/ci-baseline.json >/dev/null
+# Engine observability dump: every engine's event counters and snapshot
+# series from the full experiment suite at the reduced tiny scale, as
+# METRICS_<timestamp>.json (schema in EXPERIMENTS.md, "Metrics JSON";
+# CI uploads it as an artifact).
+metrics:
+	go run ./cmd/paper -scale tiny -exp all -metrics METRICS_$$(date +%Y%m%d-%H%M%S).json
 
 # Go-test microbenchmarks (result-shape metrics + hot-path ns/op).
 microbench:

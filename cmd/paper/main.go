@@ -5,10 +5,9 @@
 //
 //	paper [-scale tiny|bench|paper|paper1gb] [-exp all|table1|fig5|fig6|fig7|fig8|table2|attacks]
 //	      [-seed N] [-workers N] [-shards N] [-shard-grid N] [-budget F]
-//	      [-cpuprofile f] [-memprofile f] [-benchjson f]
+//	      [-cpuprofile f] [-memprofile f]
 //	      [-csv dir] [-metrics f] [-progress] [-timing=false]
 //	      [-checkpoint-every N] [-checkpoint-dir d] [-resume d] [-crash-after N]
-//	paper -benchdiff old.json new.json
 //
 // The experiment set is wlreviver.Experiments(); -exp selects one entry
 // by name (or "all"). Output is the textual form of each table/figure;
@@ -79,9 +78,6 @@ func run() error {
 	csvDir := flag.String("csv", "", "also write the curve figures as CSV files into this directory")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
-	benchJSON := flag.String("benchjson", "", "write per-experiment wall-clock and writes/sec as JSON to this file")
-	benchDiff := flag.Bool("benchdiff", false, "compare two -benchjson files given as positional arguments and exit")
-	gatePct := flag.Float64("gate", 0, "with -benchdiff: fail when new total writes/sec regresses more than this percent vs old (0 disables)")
 	metricsPath := flag.String("metrics", "", "observe every engine and write event counters and snapshots as JSON to this file")
 	progress := flag.Bool("progress", false, "stream per-engine snapshot lines to stderr while experiments run")
 	ckptEvery := flag.Uint64("checkpoint-every", 0, "checkpoint each engine every N simulated writes (0: only at -checkpoint-dir job completion)")
@@ -90,13 +86,6 @@ func run() error {
 	crashAfter := flag.Uint64("crash-after", 0, "test hook: inject a crash after N simulated writes across the sweep (exit code 3)")
 	timing := flag.Bool("timing", true, "print per-experiment wall-clock lines (disable for byte-stable stdout)")
 	flag.Parse()
-
-	if *benchDiff {
-		if flag.NArg() != 2 {
-			return fmt.Errorf("-benchdiff needs exactly two arguments: old.json new.json")
-		}
-		return runBenchDiff(flag.Arg(0), flag.Arg(1), *gatePct)
-	}
 
 	var scale wlreviver.Scale
 	switch *scaleName {
@@ -194,21 +183,6 @@ func run() error {
 		experiments = []wlreviver.Experiment{e}
 	}
 
-	report := benchReport{
-		Scale:     *scaleName,
-		Seed:      scale.Seed,
-		Workers:   scale.Workers,
-		ShardGrid: scale.ShardGrid,
-		NumCPU:    runtime.NumCPU(),
-	}
-	if scale.ShardGrid >= 2 {
-		// Record the effective pool width (0 means "all CPUs" on the
-		// flag) so bench rows are self-describing.
-		report.Shards = scale.Shards
-		if report.Shards == 0 {
-			report.Shards = runtime.GOMAXPROCS(0)
-		}
-	}
 	for _, e := range experiments {
 		start := time.Now()
 		res, err := e.Run(scale)
@@ -222,7 +196,6 @@ func run() error {
 		} else {
 			fmt.Println()
 		}
-		report.add(e.Name, elapsed, totalWrites(res))
 		if *csvDir != "" {
 			if err := writeCSV(*csvDir, e.Name, res); err != nil {
 				return fmt.Errorf("%s: writing csv: %w", e.Name, err)
@@ -230,11 +203,6 @@ func run() error {
 		}
 	}
 
-	if *benchJSON != "" {
-		if err := report.write(*benchJSON); err != nil {
-			return fmt.Errorf("benchjson: %w", err)
-		}
-	}
 	if *metricsPath != "" {
 		if err := collector.write(*metricsPath); err != nil {
 			return fmt.Errorf("metrics: %w", err)
@@ -252,156 +220,6 @@ func run() error {
 		}
 	}
 	return nil
-}
-
-// ---- machine-readable timings ----------------------------------------------
-
-// benchExperiment is one experiment's cost in the -benchjson report.
-type benchExperiment struct {
-	Name         string  `json:"name"`
-	Seconds      float64 `json:"seconds"`
-	Writes       uint64  `json:"writes"`
-	WritesPerSec float64 `json:"writes_per_sec"`
-}
-
-// benchReport is the -benchjson document: per-experiment wall-clock and
-// simulated-write throughput, plus run-wide totals.
-type benchReport struct {
-	Scale        string            `json:"scale"`
-	Seed         uint64            `json:"seed"`
-	Workers      int               `json:"workers"`
-	Shards       int               `json:"shards,omitempty"`
-	ShardGrid    uint64            `json:"shard_grid,omitempty"`
-	NumCPU       int               `json:"num_cpu"`
-	Experiments  []benchExperiment `json:"experiments"`
-	TotalSeconds float64           `json:"total_seconds"`
-	TotalWrites  uint64            `json:"total_writes"`
-	WritesPerSec float64           `json:"writes_per_sec"`
-}
-
-// add records one experiment's timing.
-func (r *benchReport) add(name string, elapsed time.Duration, writes uint64) {
-	e := benchExperiment{Name: name, Seconds: elapsed.Seconds(), Writes: writes}
-	if e.Seconds > 0 {
-		e.WritesPerSec = float64(writes) / e.Seconds
-	}
-	r.Experiments = append(r.Experiments, e)
-	r.TotalSeconds += e.Seconds
-	r.TotalWrites += writes
-	if r.TotalSeconds > 0 {
-		r.WritesPerSec = float64(r.TotalWrites) / r.TotalSeconds
-	}
-}
-
-// write dumps the report as indented JSON.
-func (r *benchReport) write(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// readBenchReport loads a -benchjson document.
-func readBenchReport(path string) (*benchReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r benchReport
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &r, nil
-}
-
-// runBenchDiff compares two -benchjson reports experiment by experiment,
-// printing wall-clock and throughput deltas. A speedup above 1 means the
-// new run is faster (lower seconds, higher writes/sec). A nonzero
-// gatePct turns the comparison into a CI gate: the run fails when the
-// new report's total writes/sec falls more than gatePct percent below
-// the old one. The gate looks only at the sweep total — per-experiment
-// throughput at tiny scale is too noisy on shared runners to gate on —
-// so a genuine hot-path regression still trips it while one slow
-// experiment offset by a fast one does not hide (the totals weight by
-// wall-clock, which is what CI budgets care about).
-func runBenchDiff(oldPath, newPath string, gatePct float64) error {
-	oldR, err := readBenchReport(oldPath)
-	if err != nil {
-		return err
-	}
-	newR, err := readBenchReport(newPath)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("# benchdiff %s (scale=%s seed=%d workers=%d shards=%d) vs %s (scale=%s seed=%d workers=%d shards=%d)\n",
-		oldPath, oldR.Scale, oldR.Seed, oldR.Workers, oldR.Shards,
-		newPath, newR.Scale, newR.Seed, newR.Workers, newR.Shards)
-	// Differing -shards is the intended comparison (same simulation,
-	// different pool width), so it draws no warning; a differing grid is
-	// a different chip model and does.
-	if oldR.Scale != newR.Scale || oldR.Seed != newR.Seed || oldR.Workers != newR.Workers ||
-		oldR.ShardGrid != newR.ShardGrid {
-		fmt.Println("# warning: runs differ in scale, seed, workers or shard grid; deltas are not like-for-like")
-	}
-	fmt.Printf("%-12s %10s %10s %8s %14s %14s %8s\n",
-		"experiment", "old s", "new s", "time", "old w/s", "new w/s", "w/s")
-	row := func(name string, oldS, newS, oldW, newW float64) {
-		timeRatio, wRatio := "n/a", "n/a"
-		if newS > 0 {
-			timeRatio = fmt.Sprintf("%.2fx", oldS/newS)
-		}
-		if oldW > 0 {
-			wRatio = fmt.Sprintf("%.2fx", newW/oldW)
-		}
-		fmt.Printf("%-12s %10.2f %10.2f %8s %14.0f %14.0f %8s\n",
-			name, oldS, newS, timeRatio, oldW, newW, wRatio)
-	}
-	newByName := make(map[string]benchExperiment, len(newR.Experiments))
-	for _, e := range newR.Experiments {
-		newByName[e.Name] = e
-	}
-	for _, oe := range oldR.Experiments {
-		ne, ok := newByName[oe.Name]
-		if !ok {
-			fmt.Printf("%-12s %10.2f %10s (missing from %s)\n", oe.Name, oe.Seconds, "-", newPath)
-			continue
-		}
-		delete(newByName, oe.Name)
-		row(oe.Name, oe.Seconds, ne.Seconds, oe.WritesPerSec, ne.WritesPerSec)
-	}
-	for _, ne := range newR.Experiments {
-		if _, stillNew := newByName[ne.Name]; stillNew {
-			fmt.Printf("%-12s %10s %10.2f (missing from %s)\n", ne.Name, "-", ne.Seconds, oldPath)
-		}
-	}
-	row("total", oldR.TotalSeconds, newR.TotalSeconds, oldR.WritesPerSec, newR.WritesPerSec)
-	if gatePct > 0 && oldR.WritesPerSec > 0 {
-		floor := oldR.WritesPerSec * (1 - gatePct/100)
-		if newR.WritesPerSec < floor {
-			return fmt.Errorf("perf gate: total %.0f writes/sec is %.1f%% below baseline %.0f (limit %g%%)",
-				newR.WritesPerSec, 100*(1-newR.WritesPerSec/oldR.WritesPerSec),
-				oldR.WritesPerSec, gatePct)
-		}
-		fmt.Printf("# perf gate: ok (total %.0f w/s vs baseline %.0f, limit -%g%%)\n",
-			newR.WritesPerSec, oldR.WritesPerSec, gatePct)
-	}
-	return nil
-}
-
-// writeCounter is implemented by results that track their simulated
-// write volume.
-type writeCounter interface {
-	TotalWrites() uint64
-}
-
-// totalWrites extracts the simulated write count from a result
-// (wlreviver.ResultPair sums its halves itself).
-func totalWrites(res fmt.Stringer) uint64 {
-	if wc, ok := res.(writeCounter); ok {
-		return wc.TotalWrites()
-	}
-	return 0
 }
 
 // curveSet is implemented by results that carry plottable curves.

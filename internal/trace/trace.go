@@ -186,10 +186,12 @@ func NewWeighted(cfg WeightedConfig) (*Weighted, error) {
 	if cfg.PageBlocks == 0 {
 		cfg.PageBlocks = 64
 	}
-	if cfg.TargetCoV < 0 {
-		return nil, fmt.Errorf("trace: negative TargetCoV")
+	// Written as !(x >= 0) so NaN fails too: a NaN target would calibrate
+	// to a meaningless α and, since NaN != NaN, miss the α memo on every build.
+	if !(cfg.TargetCoV >= 0) || math.IsInf(cfg.TargetCoV, 1) {
+		return nil, fmt.Errorf("trace: TargetCoV must be finite and non-negative")
 	}
-	if cfg.UniformMix < 0 || cfg.UniformMix > 1 {
+	if !(cfg.UniformMix >= 0 && cfg.UniformMix <= 1) {
 		return nil, fmt.Errorf("trace: UniformMix must be in [0,1]")
 	}
 	src := rng.New(cfg.Seed ^ 0x7A5CE5)

@@ -94,8 +94,12 @@ func TestWeightedConfigErrors(t *testing.T) {
 	cases := []WeightedConfig{
 		{NumBlocks: 0},
 		{NumBlocks: 10, TargetCoV: -1},
+		{NumBlocks: 10, TargetCoV: math.NaN()},
+		{NumBlocks: 10, TargetCoV: math.Inf(1)},
+		{NumBlocks: 10, TargetCoV: math.Inf(-1)},
 		{NumBlocks: 10, UniformMix: -0.1},
 		{NumBlocks: 10, UniformMix: 1.1},
+		{NumBlocks: 10, UniformMix: math.NaN()},
 	}
 	for i, c := range cases {
 		if _, err := NewWeighted(c); err == nil {

@@ -11,8 +11,11 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# gofmt walks hidden directories too, so hand it the tree's Go files
+# without .bench_build/, where the benchmark builds and cmd/benchpair
+# checks out the base revision.
 echo "== gofmt -l"
-unformatted=$(gofmt -l .)
+unformatted=$(find . -name .bench_build -prune -o -name '*.go' -print | xargs gofmt -l)
 if [ -n "$unformatted" ]; then
 	echo "gofmt: unformatted files:" >&2
 	echo "$unformatted" >&2
@@ -37,11 +40,13 @@ echo "== go build ./examples/..."
 go build ./examples/...
 
 # cmd/perfbench (the repository benchmark) is its own module, so the
-# ./... passes above skip it. Vet it under the environment its run.sh
-# sets, so a change that removes internal API the benchmark calls fails
-# the gate instead of the benchmark.
-echo "== (cd cmd/perfbench && go vet .)"
+# ./... passes above skip it. Vet and test it under the environment its
+# run.sh sets, so a change that removes internal API the benchmark calls
+# fails the gate instead of the benchmark, and its
+# TestMetricsMatchBenchmarkJSON keeps it and BENCHMARK.json in step.
+echo "== (cd cmd/perfbench && go vet . && go test .)"
 (cd cmd/perfbench && GOWORK=off GOFLAGS= GOPROXY=off go vet .)
+(cd cmd/perfbench && GOWORK=off GOFLAGS= GOPROXY=off go test .)
 
 # The reboot example checks itself: it exits non-zero if a snapshot and
 # restore lose a link, a retired page or a spare (paper §III-A).
