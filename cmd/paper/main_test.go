@@ -76,6 +76,32 @@ func wantStdoutSHA(t *testing.T, want string, args ...string) {
 	}
 }
 
+// goldenTinyStdoutSHA and goldenTinyMetricsSHA pin the byte-exact
+// stdout and -metrics JSON of the tiny full sweep. The JSON carries one
+// entry per observer key ("<exp>/<workload>/<arm>"), so it pins every
+// engine's identity and event counts as well as the printed results.
+// Regenerate with:
+//
+//	go run ./cmd/paper -scale tiny -exp all -workers 2 -timing=false -metrics m.json | sha256sum
+//	sha256sum m.json
+const (
+	goldenTinyStdoutSHA  = "fe122adb74e8918bbdb72134a6b7414f7209f34460ec697668cdfaa16ca713f8"
+	goldenTinyMetricsSHA = "94505aad7c8b663499ae986cae01b98a337f5d34755533fbe023d3df4d371135"
+)
+
+func TestGoldenTinyMetrics(t *testing.T) {
+	metrics := filepath.Join(t.TempDir(), "m.json")
+	wantStdoutSHA(t, goldenTinyStdoutSHA, "-scale", "tiny", "-exp", "all", "-workers", "2", "-timing=false", "-metrics", metrics)
+	data, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	if got := hex.EncodeToString(sum[:]); got != goldenTinyMetricsSHA {
+		t.Errorf("-metrics JSON hash changed:\n got %s\nwant %s", got, goldenTinyMetricsSHA)
+	}
+}
+
 // goldenBenchSHA pins the byte-exact stdout of the full bench-scale
 // regeneration — every table and figure — under the same contract as
 // goldenTable1SHA. The banner names the worker count when it exceeds
