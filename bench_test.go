@@ -81,7 +81,7 @@ func BenchmarkFig6_SurvivalCurves(b *testing.B) {
 	for _, workload := range []string{"ocean", "mg"} {
 		b.Run(workload, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := Fig6(benchScale(), workload)
+				res, err := CurveFigure(benchScale(), "fig6", workload)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -101,7 +101,7 @@ func BenchmarkFig7_FreepReservation(b *testing.B) {
 	for _, workload := range []string{"ocean", "mg"} {
 		b.Run(workload, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := Fig7(benchScale(), workload)
+				res, err := CurveFigure(benchScale(), "fig7", workload)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -126,7 +126,7 @@ func BenchmarkFig8_LLSUsableSpace(b *testing.B) {
 	for _, workload := range []string{"ocean", "mg"} {
 		b.Run(workload, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := Fig8(benchScale(), workload)
+				res, err := CurveFigure(benchScale(), "fig8", workload)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -300,7 +300,7 @@ func BenchmarkFig6_ByWorkers(b *testing.B) {
 			s := TinyScale()
 			s.Workers = workers
 			for i := 0; i < b.N; i++ {
-				if _, err := Fig6(s, "ocean"); err != nil {
+				if _, err := CurveFigure(s, "fig6", "ocean"); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -322,7 +322,7 @@ func BenchmarkFig6_ByShards(b *testing.B) {
 			s.ShardGrid = 8
 			s.Shards = shards
 			for i := 0; i < b.N; i++ {
-				if _, err := Fig6(s, "ocean"); err != nil {
+				if _, err := CurveFigure(s, "fig6", "ocean"); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -57,6 +57,9 @@ func TestErrorTaxonomy(t *testing.T) {
 	_, err = LookupDeviceStack("nosuch")
 	check("unknown device stack", err, ErrUnknownExperiment)
 
+	_, err = CurveFigure(TinyScale(), "nosuch", "mg")
+	check("unknown curve figure", err, ErrUnknownExperiment)
+
 	cfg = DefaultConfig()
 	cfg.Blocks = 64
 	cfg.BlocksPerPage = 8

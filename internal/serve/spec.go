@@ -73,45 +73,23 @@ func (s DeviceSpec) config() (sim.Config, error) {
 		if err != nil {
 			return sim.Config{}, err
 		}
-		cfg.ECC = st.ECC
-		cfg.Leveler = st.Leveler
-		cfg.Protector = st.Protector
-		cfg.FreepReserveFraction = st.FreepReserveFraction
-	} else {
-		// Parse*Kind("") selects the sim defaults.
-		var err error
+		cfg = st.Apply(cfg)
+	}
+	// Each explicit selector overrides the default or the stack's pick.
+	var err error
+	if s.Leveler != "" {
 		if cfg.Leveler, err = sim.ParseLevelerKind(s.Leveler); err != nil {
 			return sim.Config{}, err
 		}
+	}
+	if s.Protector != "" {
 		if cfg.Protector, err = sim.ParseProtectorKind(s.Protector); err != nil {
 			return sim.Config{}, err
 		}
+	}
+	if s.ECC != "" {
 		if cfg.ECC, err = sim.ParseECCKind(s.ECC); err != nil {
 			return sim.Config{}, err
-		}
-	}
-	if s.Stack != "" {
-		// Explicit selectors override the stack's picks.
-		if s.Leveler != "" {
-			lv, err := sim.ParseLevelerKind(s.Leveler)
-			if err != nil {
-				return sim.Config{}, err
-			}
-			cfg.Leveler = lv
-		}
-		if s.Protector != "" {
-			p, err := sim.ParseProtectorKind(s.Protector)
-			if err != nil {
-				return sim.Config{}, err
-			}
-			cfg.Protector = p
-		}
-		if s.ECC != "" {
-			ecc, err := sim.ParseECCKind(s.ECC)
-			if err != nil {
-				return sim.Config{}, err
-			}
-			cfg.ECC = ecc
 		}
 	}
 	setNZ := func(dst *uint64, v uint64) {

@@ -107,6 +107,54 @@ func TestDeviceSpecBounds(t *testing.T) {
 	}
 }
 
+// TestDeviceSpecSelectors pins how a spec picks its components: the
+// defaults with no stack, the stack's picks, each explicit selector
+// overriding the stack's, and an unknown selector rejected as a bad
+// config whether or not a stack is set.
+func TestDeviceSpecSelectors(t *testing.T) {
+	const stack = "wolfram/WFR-FREE-p(10%)"
+	type pick struct {
+		lv      sim.LevelerKind
+		prot    sim.ProtectorKind
+		ecc     sim.ECCKind
+		reserve float64
+	}
+	for _, c := range []struct {
+		name string
+		spec DeviceSpec
+		want pick
+	}{
+		{"defaults", DeviceSpec{}, pick{sim.LevelerStartGap, sim.ProtectorWLReviver, sim.ECCECP6, 0}},
+		{"selectors", DeviceSpec{Leveler: "SR", Protector: "LLS", ECC: "PAYG"}, pick{sim.LevelerSecurityRefresh, sim.ProtectorLLS, sim.ECCPAYG, 0}},
+		{"stack", DeviceSpec{Stack: stack}, pick{sim.LevelerWoLFRaM, sim.ProtectorFREEp, sim.ECCECP6, 0.10}},
+		{"stack+leveler", DeviceSpec{Stack: stack, Leveler: "SW"}, pick{sim.LevelerSoftWear, sim.ProtectorFREEp, sim.ECCECP6, 0.10}},
+		{"stack+protector", DeviceSpec{Stack: stack, Protector: "none"}, pick{sim.LevelerWoLFRaM, sim.ProtectorNone, sim.ECCECP6, 0.10}},
+		{"stack+ecc", DeviceSpec{Stack: stack, ECC: "ECP1"}, pick{sim.LevelerWoLFRaM, sim.ProtectorFREEp, sim.ECCECP1, 0.10}},
+		{"stack+reserve", DeviceSpec{Stack: stack, FreepReserveFraction: 0.2}, pick{sim.LevelerWoLFRaM, sim.ProtectorFREEp, sim.ECCECP6, 0.2}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg, err := c.spec.config()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := (pick{cfg.Leveler, cfg.Protector, cfg.ECC, cfg.FreepReserveFraction}); got != c.want {
+				t.Errorf("config() picks %+v, want %+v", got, c.want)
+			}
+		})
+	}
+	for _, stackName := range []string{"", stack} {
+		for _, spec := range []DeviceSpec{
+			{Stack: stackName, Leveler: "nosuch"},
+			{Stack: stackName, Protector: "nosuch"},
+			{Stack: stackName, ECC: "nosuch"},
+		} {
+			if _, err := spec.config(); !errors.Is(err, sim.ErrBadConfig) {
+				t.Errorf("%+v: config() = %v, want ErrBadConfig", spec, err)
+			}
+		}
+	}
+}
+
 // sameWorkload compares two workload specs, treating a nil and an empty
 // target list as equal (omitempty drops both).
 func sameWorkload(a, b trace.Spec) bool {

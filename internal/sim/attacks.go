@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"wlreviver/internal/stats"
 	"wlreviver/internal/trace"
 )
 
@@ -52,50 +53,34 @@ func Attacks(s Scale) (*AttacksResult, error) {
 			return trace.NewBirthdayParadox(s.Blocks, 16, 4*s.GapWritePeriod*s.Blocks/64, seed)
 		}},
 	}
-	var jobs []Job[AttackRow]
+	var jobs []Job[stats.Curve]
 	for _, atk := range attacks {
-		for _, withWLR := range []bool{false, true} {
-			scheme := "ECP6-SG"
-			if withWLR {
-				scheme = "ECP6-SG-WLR"
+		build := func(cfg Config) (Machine, error) {
+			gen, err := atk.make(s.Seed)
+			if err != nil {
+				return nil, err
 			}
-			key := "attacks/" + atk.name + "/" + scheme
-			jobs = append(jobs, Job[AttackRow]{
-				Name: key,
-				Run: func() (AttackRow, uint64, error) {
-					gen, err := atk.make(s.Seed)
-					if err != nil {
-						return AttackRow{}, 0, err
-					}
-					cfg := s.engineConfig(key)
-					if withWLR {
-						cfg.Protector = ProtectorWLReviver
-					} else {
-						cfg.Protector = ProtectorNone
-					}
-					e, err := NewEngine(cfg, gen)
-					if err != nil {
-						return AttackRow{}, 0, err
-					}
-					curve, err := runCurve(e, s.Checkpoint.driver(key), atk.name, usable, 0.70, s.maxWrites(), s.batch())
-					if err != nil {
-						return AttackRow{}, 0, err
-					}
-					return AttackRow{
-						Attack:      atk.name,
-						Scheme:      scheme,
-						LifetimeWPB: curve.Points[len(curve.Points)-1].X,
-						Survived:    curve.Points[len(curve.Points)-1].Y > 0.70,
-					}, e.Writes(), nil
-				},
-			})
+			return NewEngine(cfg, gen)
+		}
+		for _, st := range plusMinusWLR {
+			jobs = append(jobs, curveJob(s, "attacks/"+atk.name+"/"+st.Name, atk.name, st, build, usable, 0.70))
 		}
 	}
-	rows, writes, err := CollectJobs(jobs, s.Workers)
+	curves, writes, err := CollectJobs(jobs, s.Workers)
 	if err != nil {
 		return nil, err
 	}
-	return &AttacksResult{Rows: rows, SimWrites: writes}, nil
+	res := &AttacksResult{SimWrites: writes}
+	for i, c := range curves {
+		last := c.Points[len(c.Points)-1]
+		res.Rows = append(res.Rows, AttackRow{
+			Attack:      c.Name,
+			Scheme:      plusMinusWLR[i%len(plusMinusWLR)].Name,
+			LifetimeWPB: last.X,
+			Survived:    last.Y > 0.70,
+		})
+	}
+	return res, nil
 }
 
 // String formats the attack table.

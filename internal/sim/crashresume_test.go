@@ -361,7 +361,7 @@ func (c *testCollector) json(t *testing.T) string {
 // formatted stdout block plus the collected metrics JSON.
 func fig8Signature(t *testing.T, s Scale, col *testCollector) string {
 	t.Helper()
-	res, err := Fig8(s, "ocean")
+	res, err := CurveFigure(s, "fig8", "ocean")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +423,7 @@ func TestCrashResumeEquivalence(t *testing.T) {
 				plan := &CheckpointPlan{Dir: dir, Every: 1 << 11}
 				plan.ArmTotalCrash(crash)
 				s.Checkpoint = plan
-				if _, err := Fig8(s, "ocean"); err != nil && !errors.Is(err, ErrCrashed) {
+				if _, err := CurveFigure(s, "fig8", "ocean"); err != nil && !errors.Is(err, ErrCrashed) {
 					t.Fatalf("crash at %d: %v", crash, err)
 				}
 
@@ -465,7 +465,7 @@ func TestCrashResumeEquivalence(t *testing.T) {
 
 // TestCrashResumeEquivalenceNewLevelers runs the same sweep-level
 // differential over the wolfram and softwear protection ladders: crash
-// the 4-arm FigLeveler sweep at swept points, resume, and require the
+// each 4-arm ladder at swept points, resume, and require the
 // formatted output plus the collected metrics JSON (which carries the
 // decoder-remap / page-relocation counters through the checkpoint) to
 // match the uninterrupted run byte for byte — at workers 1 and 4.
@@ -477,17 +477,13 @@ func TestCrashResumeEquivalenceNewLevelers(t *testing.T) {
 		Blocks: 1 << 9, BlocksPerPage: 8, MeanEndurance: 120,
 		GapWritePeriod: 10, Seed: 7, MaxWritesPerBlock: 100,
 	}
-	for _, nl := range []struct {
-		exp  string
-		kind LevelerKind
-	}{{"wolfram", LevelerWoLFRaM}, {"softwear", LevelerSoftWear}} {
-		nl := nl
-		t.Run(nl.exp, func(t *testing.T) {
+	for _, exp := range []string{"wolfram", "softwear"} {
+		t.Run(exp, func(t *testing.T) {
 			t.Parallel()
 			signature := func(s Scale) string {
 				col := newTestCollector()
 				s.Observe = col.observe
-				res, err := FigLeveler(s, "ocean", nl.kind, nl.exp)
+				res, err := CurveFigure(s, exp, "ocean")
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -501,7 +497,7 @@ func TestCrashResumeEquivalenceNewLevelers(t *testing.T) {
 				s := scale
 				s.Workers = workers
 				if got := signature(s); got != want {
-					t.Fatalf("uninterrupted %s run differs at workers=%d", nl.exp, workers)
+					t.Fatalf("uninterrupted %s run differs at workers=%d", exp, workers)
 				}
 				for _, crash := range []uint64{1, 2_000, 7_777, 15_000, 26_000} {
 					dir := t.TempDir()
@@ -511,7 +507,7 @@ func TestCrashResumeEquivalenceNewLevelers(t *testing.T) {
 					plan := &CheckpointPlan{Dir: dir, Every: 1 << 11}
 					plan.ArmTotalCrash(crash)
 					s.Checkpoint = plan
-					if _, err := FigLeveler(s, "ocean", nl.kind, nl.exp); err != nil && !errors.Is(err, ErrCrashed) {
+					if _, err := CurveFigure(s, exp, "ocean"); err != nil && !errors.Is(err, ErrCrashed) {
 						t.Fatalf("crash at %d: %v", crash, err)
 					}
 
@@ -519,7 +515,7 @@ func TestCrashResumeEquivalenceNewLevelers(t *testing.T) {
 					s.Workers = workers
 					s.Checkpoint = &CheckpointPlan{Dir: dir, Every: 1 << 11, Resume: true}
 					if got := signature(s); got != want {
-						t.Errorf("%s resumed after crash at %d (workers=%d) diverged", nl.exp, crash, workers)
+						t.Errorf("%s resumed after crash at %d (workers=%d) diverged", exp, crash, workers)
 					}
 				}
 			}
@@ -537,7 +533,7 @@ func TestResumeRejectsCorruptFile(t *testing.T) {
 	dir := t.TempDir()
 	s := scale
 	s.Checkpoint = &CheckpointPlan{Dir: dir, Every: 1 << 11}
-	if _, err := Fig8(s, "ocean"); err != nil {
+	if _, err := CurveFigure(s, "fig8", "ocean"); err != nil {
 		t.Fatal(err)
 	}
 	files, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
@@ -554,7 +550,7 @@ func TestResumeRejectsCorruptFile(t *testing.T) {
 	}
 	s = scale
 	s.Checkpoint = &CheckpointPlan{Dir: dir, Every: 1 << 11, Resume: true}
-	if _, err := Fig8(s, "ocean"); err == nil {
+	if _, err := CurveFigure(s, "fig8", "ocean"); err == nil {
 		t.Fatal("resume from corrupt checkpoint succeeded")
 	}
 }

@@ -243,18 +243,19 @@ func runCurve(e Machine, d *ckptDriver, name string, metric func(Machine) float6
 	return curve, nil
 }
 
-// curveJob wraps one machine build + runCurve drive as a runner job. key
+// curveJob wraps one engine build + runCurve drive as a runner job. key
 // is the job's stable qualified identity (observer and checkpoint key);
-// name labels the resulting curve.
-func curveJob(s Scale, key, name string, build func() (Machine, error), metric func(Machine) float64, floor float64, maxWrites uint64) Job[stats.Curve] {
+// name labels the resulting curve. build makes the machine from the
+// scale's config with stack's components selected.
+func curveJob(s Scale, key, name string, stack DeviceStack, build func(Config) (Machine, error), metric func(Machine) float64, floor float64) Job[stats.Curve] {
 	return Job[stats.Curve]{
-		Name: name,
+		Name: key,
 		Run: func() (stats.Curve, uint64, error) {
-			e, err := build()
+			e, err := build(stack.Apply(s.engineConfig(key)))
 			if err != nil {
 				return stats.Curve{}, 0, err
 			}
-			c, err := runCurve(e, s.Checkpoint.driver(key), name, metric, floor, maxWrites, s.batch())
+			c, err := runCurve(e, s.Checkpoint.driver(key), name, metric, floor, s.maxWrites(), s.batch())
 			if err != nil {
 				return stats.Curve{}, 0, err
 			}
@@ -263,27 +264,11 @@ func curveJob(s Scale, key, name string, build func() (Machine, error), metric f
 	}
 }
 
-// curveFig is one workload's half of a per-workload curve figure: its
-// jobs, and the step that assembles its result from their curves (in
-// job order) and total write count. Keeping the two apart lets
-// bothWorkloads run both reference workloads' jobs in one pool.
-type curveFig[T fmt.Stringer] struct {
-	jobs     []Job[stats.Curve]
-	assemble func(curves []stats.Curve, writes uint64) T
-}
-
-// runFig runs one workload's half of a curve figure in its own pool.
-func runFig[T fmt.Stringer](s Scale, workload string, build func(Scale, string) curveFig[T]) (T, error) {
-	var zero T
-	if err := validateWorkload(workload); err != nil {
-		return zero, err
-	}
-	f := build(s, workload)
-	curves, writes, err := CollectJobs(f.jobs, s.Workers)
-	if err != nil {
-		return zero, err
-	}
-	return f.assemble(curves, writes), nil
+// plusMinusWLR are the ECP6 + Start-Gap stacks Figure 5 and the attacks
+// compare: without, then with WL-Reviver.
+var plusMinusWLR = [2]DeviceStack{
+	{Name: "ECP6-SG", ECC: ECCECP6, Leveler: LevelerStartGap, Protector: ProtectorNone},
+	{Name: "ECP6-SG-WLR", ECC: ECCECP6, Leveler: LevelerStartGap, Protector: ProtectorWLReviver},
 }
 
 // survival reads the survival-rate metric.
@@ -386,41 +371,24 @@ func (r *Fig5Result) TotalWrites() uint64 { return r.SimWrites }
 // the metric tracks the paper's block-failure lifetime while staying
 // well-defined across both OS behaviours.
 func Fig5(s Scale) (*Fig5Result, error) {
-	var jobs []Job[float64]
+	var jobs []Job[stats.Curve]
 	for _, spec := range trace.Benchmarks {
-		for _, withWLR := range []bool{false, true} {
-			key := fmt.Sprintf("fig5/%s/wlr=%v", spec.Name, withWLR)
-			jobs = append(jobs, Job[float64]{
-				Name: key,
-				Run: func() (float64, uint64, error) {
-					cfg := s.engineConfig(key)
-					if withWLR {
-						cfg.Protector = ProtectorWLReviver
-					} else {
-						cfg.Protector = ProtectorNone
-					}
-					e, err := s.newMachine(cfg, spec.Name)
-					if err != nil {
-						return 0, 0, err
-					}
-					curve, err := runCurve(e, s.Checkpoint.driver(key), spec.Name, survival, 0.70, s.maxWrites(), s.batch())
-					if err != nil {
-						return 0, 0, err
-					}
-					return curve.Points[len(curve.Points)-1].X, e.Writes(), nil
-				},
-			})
+		build := func(cfg Config) (Machine, error) { return s.newMachine(cfg, spec.Name) }
+		for _, st := range plusMinusWLR {
+			key := fmt.Sprintf("fig5/%s/wlr=%v", spec.Name, st.Protector == ProtectorWLReviver)
+			jobs = append(jobs, curveJob(s, key, spec.Name, st, build, survival, 0.70))
 		}
 	}
-	lives, writes, err := CollectJobs(jobs, s.Workers)
+	curves, writes, err := CollectJobs(jobs, s.Workers)
 	if err != nil {
 		return nil, err
 	}
+	life := func(c stats.Curve) float64 { return c.Points[len(c.Points)-1].X }
 	res := &Fig5Result{SimWrites: writes}
 	for i, spec := range trace.Benchmarks {
 		row := Fig5Row{
 			Benchmark: spec.Name, CoV: spec.WriteCoV,
-			LifetimeNoWLR: lives[2*i], LifetimeWLR: lives[2*i+1],
+			LifetimeNoWLR: life(curves[2*i]), LifetimeWLR: life(curves[2*i+1]),
 		}
 		if row.LifetimeNoWLR > 0 {
 			row.ImprovementPct = 100 * (row.LifetimeWLR - row.LifetimeNoWLR) / row.LifetimeNoWLR
@@ -442,173 +410,43 @@ func (r *Fig5Result) String() string {
 	return b.String()
 }
 
-// ---- Figure 6 ----------------------------------------------------------------
+// ---- Figures 6–8 and the leveler ladders ------------------------------------
 
-// Fig6Result reproduces Figure 6: survival-rate curves for one benchmark
-// under six configurations.
-type Fig6Result struct {
-	Workload string
-	Curves   []stats.Curve
-	// SimWrites is the total simulated writes across all runs.
-	SimWrites uint64
+// curveFigure is one per-workload curve figure, a row of the table in
+// registry.go: each arm is one engine stack, run until its software-
+// usable space falls to floor and plotted as one curve named after the
+// arm.
+type curveFigure struct {
+	// name is the registry name and the first part of every key.
+	name string
+	doc  string
+	// title is the printed heading; its one %s takes the workload.
+	title string
+	floor float64
+	// arms are the stacks in plotting order; Name is the curve name.
+	arms []DeviceStack
 }
 
-// TotalWrites reports the experiment's simulated write volume.
-func (r *Fig6Result) TotalWrites() uint64 { return r.SimWrites }
-
-// Fig6 produces capacity-survival curves (down to 70%) for ECP6/PAYG,
-// each bare, with Start-Gap, and with Start-Gap + WL-Reviver — one job
-// per configuration. The paper plots block survival; with the OS
-// retirement cascade modelled, the equivalent decay is expressed in
-// usable capacity (EXPERIMENTS.md discusses the correspondence).
-func Fig6(s Scale, workload string) (*Fig6Result, error) {
-	return runFig(s, workload, fig6)
-}
-
-// fig6 builds Figure 6's jobs for one workload.
-func fig6(s Scale, workload string) curveFig[*Fig6Result] {
-	type variant struct {
-		name  string
-		ecc   ECCKind
-		level LevelerKind
-		prot  ProtectorKind
+// jobs builds the figure's jobs for one workload, one per arm. Curve
+// names repeat across figures, so each observer/checkpoint key is
+// qualified with the figure and the workload.
+func (f curveFigure) jobs(s Scale, workload string) []Job[stats.Curve] {
+	build := func(cfg Config) (Machine, error) { return s.newMachine(cfg, workload) }
+	jobs := make([]Job[stats.Curve], len(f.arms))
+	for i, arm := range f.arms {
+		jobs[i] = curveJob(s, f.name+"/"+workload+"/"+arm.Name, arm.Name, arm, build, usable, f.floor)
 	}
-	variants := []variant{
-		{"ECP6", ECCECP6, LevelerNone, ProtectorNone},
-		{"PAYG", ECCPAYG, LevelerNone, ProtectorNone},
-		{"ECP6-SG", ECCECP6, LevelerStartGap, ProtectorNone},
-		{"PAYG-SG", ECCPAYG, LevelerStartGap, ProtectorNone},
-		{"ECP6-SG-WLR", ECCECP6, LevelerStartGap, ProtectorWLReviver},
-		{"PAYG-SG-WLR", ECCPAYG, LevelerStartGap, ProtectorWLReviver},
-	}
-	jobs := make([]Job[stats.Curve], 0, len(variants))
-	for _, v := range variants {
-		// Curve names repeat across figures, so the observer/checkpoint
-		// key is qualified with the experiment and workload.
-		key := "fig6/" + workload + "/" + v.name
-		jobs = append(jobs, curveJob(s, key, v.name, func() (Machine, error) {
-			cfg := s.engineConfig(key)
-			cfg.ECC = v.ecc
-			cfg.Leveler = v.level
-			cfg.Protector = v.prot
-			return s.newMachine(cfg, workload)
-		}, usable, 0.70, s.maxWrites()))
-	}
-	return curveFig[*Fig6Result]{jobs: jobs, assemble: func(curves []stats.Curve, writes uint64) *Fig6Result {
-		return &Fig6Result{Workload: workload, Curves: curves, SimWrites: writes}
-	}}
+	return jobs
 }
 
-// String formats the curves as a column table sampled at common points.
-func (r *Fig6Result) String() string {
-	return formatCurves(fmt.Sprintf("Figure 6 — surviving capacity vs writes/block (%s)", r.Workload), r.Curves)
+// result assembles one workload's result from its curves in arm order.
+func (f curveFigure) result(workload string, curves []stats.Curve, writes uint64) *CurveResult {
+	return &CurveResult{Workload: workload, Curves: curves, SimWrites: writes, title: fmt.Sprintf(f.title, workload)}
 }
 
-// ---- Figure 7 ----------------------------------------------------------------
-
-// Fig7Result reproduces Figure 7: user-usable space curves for
-// WL-Reviver vs FREE-p with 0/5/10/15% pre-reservation.
-type Fig7Result struct {
-	Workload string
-	Curves   []stats.Curve
-	// SimWrites is the total simulated writes across all runs.
-	SimWrites uint64
-}
-
-// TotalWrites reports the experiment's simulated write volume.
-func (r *Fig7Result) TotalWrites() uint64 { return r.SimWrites }
-
-// Fig7 produces the usable-space comparison under ECP6 + Start-Gap, one
-// job per protection arm.
-func Fig7(s Scale, workload string) (*Fig7Result, error) {
-	return runFig(s, workload, fig7)
-}
-
-// fig7 builds Figure 7's jobs for one workload.
-func fig7(s Scale, workload string) curveFig[*Fig7Result] {
-	arms := []struct {
-		name    string
-		prot    ProtectorKind
-		reserve float64
-	}{{"WL-Reviver", ProtectorWLReviver, 0}}
-	for _, pct := range []float64{0, 0.05, 0.10, 0.15} {
-		arms = append(arms, struct {
-			name    string
-			prot    ProtectorKind
-			reserve float64
-		}{fmt.Sprintf("FREE-p(%.0f%%)", pct*100), ProtectorFREEp, pct})
-	}
-	jobs := make([]Job[stats.Curve], 0, len(arms))
-	for _, a := range arms {
-		key := "fig7/" + workload + "/" + a.name
-		jobs = append(jobs, curveJob(s, key, a.name, func() (Machine, error) {
-			cfg := s.engineConfig(key)
-			cfg.Protector = a.prot
-			cfg.FreepReserveFraction = a.reserve
-			return s.newMachine(cfg, workload)
-		}, usable, 0.50, s.maxWrites()))
-	}
-	return curveFig[*Fig7Result]{jobs: jobs, assemble: func(curves []stats.Curve, writes uint64) *Fig7Result {
-		return &Fig7Result{Workload: workload, Curves: curves, SimWrites: writes}
-	}}
-}
-
-// String formats the curves.
-func (r *Fig7Result) String() string {
-	return formatCurves(fmt.Sprintf("Figure 7 — user-usable space vs writes/block (%s), ECP6+SG", r.Workload), r.Curves)
-}
-
-// ---- Figure 8 ----------------------------------------------------------------
-
-// Fig8Result reproduces Figure 8: software-usable space, WL-Reviver vs
-// LLS.
-type Fig8Result struct {
-	Workload string
-	Curves   []stats.Curve
-	// SimWrites is the total simulated writes across all runs.
-	SimWrites uint64
-}
-
-// TotalWrites reports the experiment's simulated write volume.
-func (r *Fig8Result) TotalWrites() uint64 { return r.SimWrites }
-
-// Fig8 produces the WLR-vs-LLS usable-space comparison, one job per
-// scheme.
-func Fig8(s Scale, workload string) (*Fig8Result, error) {
-	return runFig(s, workload, fig8)
-}
-
-// fig8 builds Figure 8's jobs for one workload.
-func fig8(s Scale, workload string) curveFig[*Fig8Result] {
-	arms := []struct {
-		name string
-		prot ProtectorKind
-	}{{"WL-Reviver", ProtectorWLReviver}, {"LLS", ProtectorLLS}}
-	jobs := make([]Job[stats.Curve], 0, len(arms))
-	for _, a := range arms {
-		key := "fig8/" + workload + "/" + a.name
-		jobs = append(jobs, curveJob(s, key, a.name, func() (Machine, error) {
-			cfg := s.engineConfig(key)
-			cfg.Protector = a.prot
-			return s.newMachine(cfg, workload)
-		}, usable, 0.50, s.maxWrites()))
-	}
-	return curveFig[*Fig8Result]{jobs: jobs, assemble: func(curves []stats.Curve, writes uint64) *Fig8Result {
-		return &Fig8Result{Workload: workload, Curves: curves, SimWrites: writes}
-	}}
-}
-
-// String formats the curves.
-func (r *Fig8Result) String() string {
-	return formatCurves(fmt.Sprintf("Figure 8 — software-usable space vs writes/block (%s), ECP6+SG", r.Workload), r.Curves)
-}
-
-// ---- New-leveler figures -----------------------------------------------------
-
-// FigLevelerResult reports one related-work leveler's protection ladder:
-// software-usable space curves for the leveler bare, +FREE-p, +LLS and
-// +WL-Reviver (the "any wear-leveling technique" generality check).
-type FigLevelerResult struct {
+// CurveResult is one workload's run of a curve figure: one software-
+// usable-space curve per arm.
+type CurveResult struct {
 	Workload string
 	Curves   []stats.Curve
 	// SimWrites is the total simulated writes across all runs.
@@ -618,51 +456,30 @@ type FigLevelerResult struct {
 }
 
 // TotalWrites reports the experiment's simulated write volume.
-func (r *FigLevelerResult) TotalWrites() uint64 { return r.SimWrites }
+func (r *CurveResult) TotalWrites() uint64 { return r.SimWrites }
 
-// FigLeveler runs one leveler through the Fig. 7/8 protection ladder —
-// bare vs FREE-p(10%) vs LLS vs WL-Reviver under ECP6 — one job per arm.
-// expName qualifies the observer/checkpoint keys ("wolfram", "softwear").
-func FigLeveler(s Scale, workload string, kind LevelerKind, expName string) (*FigLevelerResult, error) {
-	return runFig(s, workload, figLeveler(kind, expName))
-}
+// String formats the curves as a column table sampled at common points.
+func (r *CurveResult) String() string { return formatCurves(r.title, r.Curves) }
 
-// figLeveler returns the builder of one leveler's protection-ladder
-// jobs for one workload.
-func figLeveler(kind LevelerKind, expName string) func(Scale, string) curveFig[*FigLevelerResult] {
-	return func(s Scale, workload string) curveFig[*FigLevelerResult] {
-		arms := []struct {
-			name    string
-			prot    ProtectorKind
-			reserve float64
-		}{
-			{kind.String(), ProtectorNone, 0},
-			{kind.String() + "-FREE-p(10%)", ProtectorFREEp, 0.10},
-			{kind.String() + "-LLS", ProtectorLLS, 0},
-			{kind.String() + "-WLR", ProtectorWLReviver, 0},
-		}
-		jobs := make([]Job[stats.Curve], 0, len(arms))
-		for _, a := range arms {
-			key := expName + "/" + workload + "/" + a.name
-			jobs = append(jobs, curveJob(s, key, a.name, func() (Machine, error) {
-				cfg := s.engineConfig(key)
-				cfg.Leveler = kind
-				cfg.Protector = a.prot
-				cfg.FreepReserveFraction = a.reserve
-				return s.newMachine(cfg, workload)
-			}, usable, 0.50, s.maxWrites()))
-		}
-		return curveFig[*FigLevelerResult]{jobs: jobs, assemble: func(curves []stats.Curve, writes uint64) *FigLevelerResult {
-			return &FigLevelerResult{
-				Workload: workload, Curves: curves, SimWrites: writes,
-				title: fmt.Sprintf("%s — software-usable space vs writes/block (%s), ECP6", expName, workload),
-			}
-		}}
+// CurveData exposes the plottable series for CSV export.
+func (r *CurveResult) CurveData() (string, []stats.Curve) { return r.Workload, r.Curves }
+
+// CurveFigure runs the named curve figure (fig6, fig7, fig8, wolfram,
+// softwear) for one workload, one job per arm.
+func CurveFigure(s Scale, name, workload string) (*CurveResult, error) {
+	f, err := lookupCurveFigure(name)
+	if err != nil {
+		return nil, err
 	}
+	if err := validateWorkload(workload); err != nil {
+		return nil, err
+	}
+	curves, writes, err := CollectJobs(f.jobs(s, workload), s.Workers)
+	if err != nil {
+		return nil, err
+	}
+	return f.result(workload, curves, writes), nil
 }
-
-// String formats the curves.
-func (r *FigLevelerResult) String() string { return formatCurves(r.title, r.Curves) }
 
 // ---- Table II ----------------------------------------------------------------
 
@@ -887,15 +704,3 @@ func formatCurves(title string, curves []stats.Curve) string {
 	}
 	return b.String()
 }
-
-// CurveData exposes the plottable series for CSV export.
-func (r *Fig6Result) CurveData() (string, []stats.Curve) { return r.Workload, r.Curves }
-
-// CurveData exposes the plottable series for CSV export.
-func (r *Fig7Result) CurveData() (string, []stats.Curve) { return r.Workload, r.Curves }
-
-// CurveData exposes the plottable series for CSV export.
-func (r *Fig8Result) CurveData() (string, []stats.Curve) { return r.Workload, r.Curves }
-
-// CurveData exposes the plottable series for CSV export.
-func (r *FigLevelerResult) CurveData() (string, []stats.Curve) { return r.Workload, r.Curves }

@@ -23,7 +23,7 @@ func reportSet(t *testing.T, s Scale) (string, map[string]obs.Report) {
 		return m
 	}
 	s.SnapshotEvery = s.Blocks * 100
-	res, err := Fig6(s, "mg")
+	res, err := CurveFigure(s, "fig6", "mg")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func reportSet(t *testing.T, s Scale) (string, map[string]obs.Report) {
 func TestObserverDoesNotPerturb(t *testing.T) {
 	s := TinyScale()
 	s.Workers = 1
-	plain, err := Fig6(s, "mg")
+	plain, err := CurveFigure(s, "fig6", "mg")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,12 +37,12 @@ func TestParallelMatchesSerial(t *testing.T) {
 		t.Parallel()
 		var halves []fmt.Stringer
 		for _, w := range ReferenceWorkloads {
-			a, err := Fig6(serial, w)
+			a, err := CurveFigure(serial, "fig6", w)
 			if err != nil {
 				t.Fatal(err)
 			}
 			halves = append(halves, a)
-			b, err := Fig6(parallel, w)
+			b, err := CurveFigure(parallel, "fig6", w)
 			if err != nil {
 				t.Fatal(err)
 			}

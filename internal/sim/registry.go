@@ -24,9 +24,10 @@ type Experiment struct {
 // Experiments returns the ordered experiment registry — the single place
 // evaluation presets are declared. The CLI's -exp dispatch and the public
 // wlreviver re-exports are both built over it, so adding an experiment
-// here surfaces it everywhere.
+// here surfaces it everywhere. The curve figures' entries are read off
+// their tables below.
 func Experiments() []Experiment {
-	return []Experiment{
+	exps := []Experiment{
 		{
 			Name: "table1",
 			Doc:  "benchmark write CoVs, paper vs synthetic stand-ins",
@@ -37,48 +38,131 @@ func Experiments() []Experiment {
 			Doc:  "lifetime to 30% capacity loss per benchmark, ±WL-Reviver",
 			Run:  func(s Scale) (fmt.Stringer, error) { return Fig5(s) },
 		},
-		{
-			Name: "fig6",
-			Doc:  "capacity-survival curves under six ECC/leveler stacks",
-			Run:  func(s Scale) (fmt.Stringer, error) { return bothWorkloads(s, fig6) },
+	}
+	exps = append(exps, curveExperiments(paperFigures())...)
+	exps = append(exps, Experiment{
+		Name: "table2",
+		Doc:  "access time and usable space at 10/20/30% failed blocks",
+		Run: func(s Scale) (fmt.Stringer, error) {
+			return Table2(s, []string{"mg", "ocean"})
 		},
+	})
+	exps = append(exps, curveExperiments(levelerLadders())...)
+	return append(exps, Experiment{
+		Name: "attacks",
+		Doc:  "hammering and birthday-paradox attack costs, ±WL-Reviver",
+		Run:  func(s Scale) (fmt.Stringer, error) { return Attacks(s) },
+	})
+}
+
+// curveExperiments registers each curve figure over the reference
+// workloads.
+func curveExperiments(figs []curveFigure) []Experiment {
+	exps := make([]Experiment, len(figs))
+	for i, f := range figs {
+		exps[i] = Experiment{
+			Name: f.name,
+			Doc:  f.doc,
+			Run:  func(s Scale) (fmt.Stringer, error) { return bothWorkloads(s, f) },
+		}
+	}
+	return exps
+}
+
+// paperFigures is the table of the paper's per-workload curve figures
+// (§IV, Figures 6–8), one row per figure and one DeviceStack per arm. A
+// new curve figure is one row here.
+func paperFigures() []curveFigure {
+	sg := func(name string, prot ProtectorKind, reserve float64) DeviceStack {
+		return DeviceStack{Name: name, ECC: ECCECP6, Leveler: LevelerStartGap, Protector: prot, FreepReserveFraction: reserve}
+	}
+	return []curveFigure{
 		{
-			Name: "fig7",
-			Doc:  "user-usable space, WL-Reviver vs FREE-p reservations",
-			Run:  func(s Scale) (fmt.Stringer, error) { return bothWorkloads(s, fig7) },
-		},
-		{
-			Name: "fig8",
-			Doc:  "software-usable space, WL-Reviver vs LLS",
-			Run:  func(s Scale) (fmt.Stringer, error) { return bothWorkloads(s, fig8) },
-		},
-		{
-			Name: "table2",
-			Doc:  "access time and usable space at 10/20/30% failed blocks",
-			Run: func(s Scale) (fmt.Stringer, error) {
-				return Table2(s, []string{"mg", "ocean"})
+			// The paper plots block survival; with the OS retirement
+			// cascade modelled, the equivalent decay is expressed in
+			// usable capacity (EXPERIMENTS.md discusses the
+			// correspondence).
+			name:  "fig6",
+			doc:   "capacity-survival curves under six ECC/leveler stacks",
+			title: "Figure 6 — surviving capacity vs writes/block (%s)",
+			floor: 0.70,
+			arms: []DeviceStack{
+				{Name: "ECP6", ECC: ECCECP6, Leveler: LevelerNone, Protector: ProtectorNone},
+				{Name: "PAYG", ECC: ECCPAYG, Leveler: LevelerNone, Protector: ProtectorNone},
+				{Name: "ECP6-SG", ECC: ECCECP6, Leveler: LevelerStartGap, Protector: ProtectorNone},
+				{Name: "PAYG-SG", ECC: ECCPAYG, Leveler: LevelerStartGap, Protector: ProtectorNone},
+				{Name: "ECP6-SG-WLR", ECC: ECCECP6, Leveler: LevelerStartGap, Protector: ProtectorWLReviver},
+				{Name: "PAYG-SG-WLR", ECC: ECCPAYG, Leveler: LevelerStartGap, Protector: ProtectorWLReviver},
 			},
 		},
 		{
-			Name: "wolfram",
-			Doc:  "WoLFRaM decoder remapping: bare vs FREE-p vs LLS vs WL-Reviver",
-			Run: func(s Scale) (fmt.Stringer, error) {
-				return bothWorkloads(s, figLeveler(LevelerWoLFRaM, "wolfram"))
+			name:  "fig7",
+			doc:   "user-usable space, WL-Reviver vs FREE-p reservations",
+			title: "Figure 7 — user-usable space vs writes/block (%s), ECP6+SG",
+			floor: 0.50,
+			arms: []DeviceStack{
+				sg("WL-Reviver", ProtectorWLReviver, 0),
+				sg("FREE-p(0%)", ProtectorFREEp, 0),
+				sg("FREE-p(5%)", ProtectorFREEp, 0.05),
+				sg("FREE-p(10%)", ProtectorFREEp, 0.10),
+				sg("FREE-p(15%)", ProtectorFREEp, 0.15),
 			},
 		},
 		{
-			Name: "softwear",
-			Doc:  "SoftWear OS-level page leveling: bare vs FREE-p vs LLS vs WL-Reviver",
-			Run: func(s Scale) (fmt.Stringer, error) {
-				return bothWorkloads(s, figLeveler(LevelerSoftWear, "softwear"))
-			},
-		},
-		{
-			Name: "attacks",
-			Doc:  "hammering and birthday-paradox attack costs, ±WL-Reviver",
-			Run:  func(s Scale) (fmt.Stringer, error) { return Attacks(s) },
+			name:  "fig8",
+			doc:   "software-usable space, WL-Reviver vs LLS",
+			title: "Figure 8 — software-usable space vs writes/block (%s), ECP6+SG",
+			floor: 0.50,
+			arms:  []DeviceStack{sg("WL-Reviver", ProtectorWLReviver, 0), sg("LLS", ProtectorLLS, 0)},
 		},
 	}
+}
+
+// levelerLadders is the table of related-work levelers run through the
+// Figure 7/8 protection ladder — bare vs FREE-p(10%) vs LLS vs
+// WL-Reviver under ECP6 — the "any wear-leveling technique" generality
+// check. A new leveler's ladder is one row here.
+func levelerLadders() []curveFigure {
+	return []curveFigure{
+		ladder("wolfram", "WoLFRaM decoder remapping: bare vs FREE-p vs LLS vs WL-Reviver", LevelerWoLFRaM),
+		ladder("softwear", "SoftWear OS-level page leveling: bare vs FREE-p vs LLS vs WL-Reviver", LevelerSoftWear),
+	}
+}
+
+// ladder is one leveler's protection-ladder figure.
+func ladder(name, doc string, lv LevelerKind) curveFigure {
+	arm := func(suffix string, prot ProtectorKind, reserve float64) DeviceStack {
+		return DeviceStack{Name: lv.String() + suffix, ECC: ECCECP6, Leveler: lv, Protector: prot, FreepReserveFraction: reserve}
+	}
+	return curveFigure{
+		name:  name,
+		doc:   doc,
+		title: name + " — software-usable space vs writes/block (%s), ECP6",
+		floor: 0.50,
+		arms: []DeviceStack{
+			arm("", ProtectorNone, 0),
+			arm("-FREE-p(10%)", ProtectorFREEp, 0.10),
+			arm("-LLS", ProtectorLLS, 0),
+			arm("-WLR", ProtectorWLReviver, 0),
+		},
+	}
+}
+
+// curveFigures returns both tables in registry order.
+func curveFigures() []curveFigure { return append(paperFigures(), levelerLadders()...) }
+
+// lookupCurveFigure returns the named curve figure, or an error listing
+// the known names.
+func lookupCurveFigure(name string) (curveFigure, error) {
+	var known []string
+	for _, f := range curveFigures() {
+		if f.name == name {
+			return f, nil
+		}
+		known = append(known, f.name)
+	}
+	sort.Strings(known)
+	return curveFigure{}, fmt.Errorf("sim: unknown curve figure %q (known: %v): %w", name, known, ErrUnknownExperiment)
 }
 
 // ExperimentNames returns the registered names in registry order.
@@ -116,47 +200,27 @@ type DeviceStack struct {
 	ECC       ECCKind
 	Leveler   LevelerKind
 	Protector ProtectorKind
-	// FreepReserveFraction is FREE-p's pre-reservation (fig7 arms).
+	// FreepReserveFraction is FREE-p's pre-reservation (FREE-p arms).
 	FreepReserveFraction float64
 }
 
-// DeviceStacks returns the named stacks in registry order: Figure 6's
-// six ECC/leveler arms, Figure 7's protection ladder and Figure 8's
-// WLR-vs-LLS pair — every per-engine configuration the paper's
-// per-workload figures sweep.
+// Apply selects the stack's components in cfg.
+func (st DeviceStack) Apply(cfg Config) Config {
+	cfg.ECC, cfg.Leveler, cfg.Protector = st.ECC, st.Leveler, st.Protector
+	cfg.FreepReserveFraction = st.FreepReserveFraction
+	return cfg
+}
+
+// DeviceStacks returns the named stacks in registry order: every arm of
+// every curve figure (Figures 6–8, then the leveler ladders), read off
+// the figure tables.
 func DeviceStacks() []DeviceStack {
-	stacks := []DeviceStack{
-		{Name: "fig6/ECP6", ECC: ECCECP6, Leveler: LevelerNone, Protector: ProtectorNone},
-		{Name: "fig6/PAYG", ECC: ECCPAYG, Leveler: LevelerNone, Protector: ProtectorNone},
-		{Name: "fig6/ECP6-SG", ECC: ECCECP6, Leveler: LevelerStartGap, Protector: ProtectorNone},
-		{Name: "fig6/PAYG-SG", ECC: ECCPAYG, Leveler: LevelerStartGap, Protector: ProtectorNone},
-		{Name: "fig6/ECP6-SG-WLR", ECC: ECCECP6, Leveler: LevelerStartGap, Protector: ProtectorWLReviver},
-		{Name: "fig6/PAYG-SG-WLR", ECC: ECCPAYG, Leveler: LevelerStartGap, Protector: ProtectorWLReviver},
-		{Name: "fig7/WL-Reviver", ECC: ECCECP6, Leveler: LevelerStartGap, Protector: ProtectorWLReviver},
-	}
-	for _, pct := range []float64{0, 0.05, 0.10, 0.15} {
-		stacks = append(stacks, DeviceStack{
-			Name: fmt.Sprintf("fig7/FREE-p(%.0f%%)", pct*100),
-			ECC:  ECCECP6, Leveler: LevelerStartGap, Protector: ProtectorFREEp,
-			FreepReserveFraction: pct,
-		})
-	}
-	stacks = append(stacks,
-		DeviceStack{Name: "fig8/WL-Reviver", ECC: ECCECP6, Leveler: LevelerStartGap, Protector: ProtectorWLReviver},
-		DeviceStack{Name: "fig8/LLS", ECC: ECCECP6, Leveler: LevelerStartGap, Protector: ProtectorLLS},
-	)
-	// The new-leveler experiments' protection ladders (wolfram, softwear).
-	for _, nl := range []struct {
-		exp string
-		lv  LevelerKind
-	}{{"wolfram", LevelerWoLFRaM}, {"softwear", LevelerSoftWear}} {
-		exp, lv := nl.exp, nl.lv
-		stacks = append(stacks,
-			DeviceStack{Name: exp + "/" + lv.String(), ECC: ECCECP6, Leveler: lv, Protector: ProtectorNone},
-			DeviceStack{Name: exp + "/" + lv.String() + "-FREE-p(10%)", ECC: ECCECP6, Leveler: lv, Protector: ProtectorFREEp, FreepReserveFraction: 0.10},
-			DeviceStack{Name: exp + "/" + lv.String() + "-LLS", ECC: ECCECP6, Leveler: lv, Protector: ProtectorLLS},
-			DeviceStack{Name: exp + "/" + lv.String() + "-WLR", ECC: ECCECP6, Leveler: lv, Protector: ProtectorWLReviver},
-		)
+	var stacks []DeviceStack
+	for _, f := range curveFigures() {
+		for _, arm := range f.arms {
+			arm.Name = f.name + "/" + arm.Name
+			stacks = append(stacks, arm)
+		}
 	}
 	return stacks
 }
@@ -208,30 +272,26 @@ func (p ResultPair) TotalWrites() uint64 {
 	return sum
 }
 
-// bothWorkloads runs a per-workload curve figure for the reference
-// workloads. Both workloads' jobs share one pool, so no worker idles at
-// a barrier between the halves; each half is assembled from its own
-// slice of the results, exactly as if the halves had run one after the
-// other.
-func bothWorkloads[T fmt.Stringer](s Scale, build func(Scale, string) curveFig[T]) (fmt.Stringer, error) {
-	figs := make([]curveFig[T], len(ReferenceWorkloads))
+// bothWorkloads runs a curve figure for the reference workloads. Both
+// workloads' jobs share one pool, so no worker idles at a barrier
+// between the halves; each half is assembled from its own slice of the
+// results, exactly as if the halves had run one after the other.
+func bothWorkloads(s Scale, f curveFigure) (fmt.Stringer, error) {
 	var jobs []Job[stats.Curve]
-	for i, w := range ReferenceWorkloads {
+	for _, w := range ReferenceWorkloads {
 		if err := validateWorkload(w); err != nil {
 			return nil, err
 		}
-		figs[i] = build(s, w)
-		jobs = append(jobs, figs[i].jobs...)
+		jobs = append(jobs, f.jobs(s, w)...)
 	}
 	results := RunJobs(jobs, s.Workers)
-	halves := make([]fmt.Stringer, len(figs))
-	for i, f := range figs {
-		curves, writes, err := collectResults(results[:len(f.jobs)])
+	halves := make([]fmt.Stringer, len(ReferenceWorkloads))
+	for i, w := range ReferenceWorkloads {
+		curves, writes, err := collectResults(results[i*len(f.arms) : (i+1)*len(f.arms)])
 		if err != nil {
 			return nil, err
 		}
-		results = results[len(f.jobs):]
-		halves[i] = f.assemble(curves, writes)
+		halves[i] = f.result(w, curves, writes)
 	}
 	return ResultPair{First: halves[0], Second: halves[1]}, nil
 }

@@ -55,8 +55,34 @@ func RunJobs[T any](jobs []Job[T], workers int) []Result[T] {
 		}
 		return results
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
+	fanOut(workers, len(jobs), func(i int) { results[i] = runJob(jobs[i]) })
+	return results
+}
+
+// fanOut calls fn(0) … fn(n-1) on up to workers concurrent goroutines
+// and returns once all calls finished. workers <= 1 (or n <= 1) makes
+// the calls serially on the calling goroutine, in index order. It is
+// the one fan-out loop in the repository: RunJobs fans independent
+// engines out across an experiment, and the sharded batch loop fans the
+// independent address-space shards of ONE engine out within a batch,
+// this call being its merge barrier. The same argument keeps both
+// deterministic: the units share no mutable state, and the caller
+// merges their results in a fixed order after the barrier, so
+// scheduling can only change timing, never output.
+//
+// Workers are spawned per call rather than kept in a persistent pool:
+// one shard batch is millions of writes at paper scale, so the spawn
+// cost is noise (see BenchmarkShardMergeBarrier), and there is no pool
+// lifecycle to leak or to tear down on every early return.
+func fanOut(workers, n int, fn func(i int)) {
+	if workers <= 1 || n <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	if workers > n {
+		workers = n
 	}
 	idx := make(chan int)
 	var wg sync.WaitGroup
@@ -65,16 +91,15 @@ func RunJobs[T any](jobs []Job[T], workers int) []Result[T] {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i] = runJob(jobs[i])
+				fn(i)
 			}
 		}()
 	}
-	for i := range jobs {
+	for i := 0; i < n; i++ {
 		idx <- i
 	}
 	close(idx)
 	wg.Wait()
-	return results
 }
 
 // runJob executes one job, folding its name into any error.

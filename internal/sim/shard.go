@@ -331,7 +331,7 @@ func (se *ShardedEngine) RunN(n uint64) uint64 {
 				toRun = append(toRun, i)
 			}
 		}
-		runShards(se.pool, len(toRun), func(j int) {
+		fanOut(se.pool, len(toRun), func(j int) {
 			s := toRun[j]
 			se.ran[s] = se.shards[s].RunN(se.alloc[s])
 		})

@@ -255,7 +255,7 @@ func TestShardedCrashResumeAcrossShards(t *testing.T) {
 			plan := &CheckpointPlan{Dir: dir, Every: 1 << 11}
 			plan.ArmTotalCrash(crash)
 			s.Checkpoint = plan
-			if _, err := Fig8(s, "ocean"); err != nil && !errors.Is(err, ErrCrashed) {
+			if _, err := CurveFigure(s, "fig8", "ocean"); err != nil && !errors.Is(err, ErrCrashed) {
 				t.Fatalf("crash at %d: %v", crash, err)
 			}
 

@@ -328,7 +328,7 @@ func TestFig5Shapes(t *testing.T) {
 
 func TestFig6Shapes(t *testing.T) {
 	for _, w := range []string{"ocean", "mg"} {
-		res, err := Fig6(TinyScale(), w)
+		res, err := CurveFigure(TinyScale(), "fig6", w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,7 +352,7 @@ func TestFig6Shapes(t *testing.T) {
 }
 
 func TestFig7Shapes(t *testing.T) {
-	res, err := Fig7(TinyScale(), "mg")
+	res, err := CurveFigure(TinyScale(), "fig7", "mg")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +395,7 @@ func TestFig7Shapes(t *testing.T) {
 }
 
 func TestFig8Shapes(t *testing.T) {
-	res, err := Fig8(TinyScale(), "mg")
+	res, err := CurveFigure(TinyScale(), "fig8", "mg")
 	if err != nil {
 		t.Fatal(err)
 	}

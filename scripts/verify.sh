@@ -88,6 +88,12 @@ go test -run '^$' -bench . -benchtime 1x ./internal/trace
 echo "== go test -run '^\$' -bench . -benchtime 1x ./internal/serve"
 go test -run '^$' -bench . -benchtime 1x ./internal/serve
 
+# And for the root package's table and figure benches: each regenerates
+# one preset through the public API (the curve figures by name through
+# CurveFigure), so a preset that breaks fails here by name.
+echo "== go test -run '^\$' -bench 'Fig|Table' -benchtime 1x ."
+go test -run '^$' -bench 'Fig|Table' -benchtime 1x .
+
 echo "== go test -race ./..."
 go test -race ./...
 

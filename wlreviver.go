@@ -21,9 +21,10 @@
 //	sys.RunN(10_000_000)
 //	fmt.Printf("survival %.3f usable %.3f\n", sys.SurvivalRate(), sys.UsableFraction())
 //
-// The experiment presets (Table1, Fig5 … Table2) regenerate every table
-// and figure of the paper's evaluation; see EXPERIMENTS.md for the
-// paper-vs-measured record.
+// The experiment presets (Table1, Fig5, CurveFigure for Figures 6–8 and
+// the wolfram/softwear leveler ladders, Table2 and Attacks) regenerate
+// every table and figure of the paper's evaluation; see EXPERIMENTS.md
+// for the paper-vs-measured record.
 package wlreviver
 
 import (
@@ -114,12 +115,9 @@ type (
 	Table1Result = sim.Table1Result
 	// Fig5Result reproduces Figure 5.
 	Fig5Result = sim.Fig5Result
-	// Fig6Result reproduces Figure 6.
-	Fig6Result = sim.Fig6Result
-	// Fig7Result reproduces Figure 7.
-	Fig7Result = sim.Fig7Result
-	// Fig8Result reproduces Figure 8.
-	Fig8Result = sim.Fig8Result
+	// CurveResult is one workload's run of a curve figure (Figures 6–8,
+	// the wolfram and softwear leveler ladders).
+	CurveResult = sim.CurveResult
 	// Table2Result reproduces Table II.
 	Table2Result = sim.Table2Result
 	// AttacksResult measures malicious wear-out resistance (§IV-B).
@@ -176,16 +174,15 @@ func Table1(s Scale) (*Table1Result, error) { return runRegistered[*Table1Result
 // Fig5 regenerates Figure 5 (lifetime to 30% capacity loss, ±WLR).
 func Fig5(s Scale) (*Fig5Result, error) { return runRegistered[*Fig5Result]("fig5", s) }
 
-// Fig6 regenerates Figure 6 (capacity-survival curves) for a benchmark.
-// The registry's "fig6" entry fixes the paper's reference workloads; this
-// parameterised form accepts any Table I benchmark name.
-func Fig6(s Scale, workload string) (*Fig6Result, error) { return sim.Fig6(s, workload) }
-
-// Fig7 regenerates Figure 7 (WLR vs FREE-p reservations) for a benchmark.
-func Fig7(s Scale, workload string) (*Fig7Result, error) { return sim.Fig7(s, workload) }
-
-// Fig8 regenerates Figure 8 (WLR vs LLS usable space) for a benchmark.
-func Fig8(s Scale, workload string) (*Fig8Result, error) { return sim.Fig8(s, workload) }
+// CurveFigure regenerates a curve figure — "fig6" (capacity-survival
+// curves), "fig7" (WLR vs FREE-p reservations), "fig8" (WLR vs LLS
+// usable space), or the "wolfram"/"softwear" leveler ladders — for one
+// benchmark. The registry's entries of the same names fix the paper's
+// reference workloads; this parameterised form accepts any Table I
+// benchmark name.
+func CurveFigure(s Scale, name, workload string) (*CurveResult, error) {
+	return sim.CurveFigure(s, name, workload)
+}
 
 // Table2 regenerates Table II (access time and usable space vs failure
 // ratio, LLS vs WLR) for the given benchmark workloads.

@@ -64,7 +64,7 @@ func TestExperimentFacade(t *testing.T) {
 	}
 	// The heavier presets have dedicated shape tests in internal/sim;
 	// here just confirm the facade compiles against their signatures.
-	if _, err := Fig8(s, "ocean"); err != nil {
+	if _, err := CurveFigure(s, "fig8", "ocean"); err != nil {
 		t.Fatalf("Fig8: %v", err)
 	}
 }
