@@ -2,7 +2,9 @@ package sim
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -17,6 +19,7 @@ import (
 	"wlreviver/internal/obs"
 	"wlreviver/internal/reviver"
 	"wlreviver/internal/trace"
+	"wlreviver/internal/wear"
 )
 
 // ckptRole is one engine configuration exercised by the checkpoint
@@ -195,8 +198,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 }
 
 // TestRestoreRejectsMismatchedConfig ensures a checkpoint cannot be
-// restored into a differently configured system, and that an image
-// whose retired FREE-p pair-coding fingerprint slot is set is refused.
+// restored into a differently configured system: one case per
+// fingerprinted field that can differ on its own, each refused with an
+// error naming that field, plus an image whose retired FREE-p
+// pair-coding slot is set. "workload blocks" has no case: NewEngine ties
+// it to Blocks, so it never differs alone.
 func TestRestoreRejectsMismatchedConfig(t *testing.T) {
 	r := ckptRoles()[2] // sg-wlr
 	e := buildRole(t, r)
@@ -210,29 +216,94 @@ func TestRestoreRejectsMismatchedConfig(t *testing.T) {
 	for _, tc := range []struct {
 		field  string
 		mutate func(*Config)
+		gen    func(Config) (trace.Generator, error)
 		img    []byte
 	}{
-		{"Seed", func(c *Config) { c.Seed++ }, img},
-		{"GapWritePeriod", func(c *Config) { c.GapWritePeriod++ }, img},
-		{"Protector", func(c *Config) { c.Protector = ProtectorFREEp }, img},
-		{"ECC", func(c *Config) { c.ECC = ECCPAYG }, img},
-		{"MeanEndurance", func(c *Config) { c.MeanEndurance *= 2 }, img},
-		{"FreepZombiePairing", func(*Config) {}, retiredSlotSet(t, img)},
+		{"Blocks", func(c *Config) { c.Blocks *= 2 }, nil, img},
+		{"BlocksPerPage", func(c *Config) { c.BlocksPerPage *= 2 }, nil, img},
+		{"CellsPerBlock", func(c *Config) { c.CellsPerBlock /= 2 }, nil, img},
+		{"MeanEndurance", func(c *Config) { c.MeanEndurance *= 2 }, nil, img},
+		{"LifetimeCoV", func(c *Config) { c.LifetimeCoV /= 2 }, nil, img},
+		{"Seed", func(c *Config) { c.Seed++ }, nil, img},
+		{"Leveler", func(c *Config) { c.Leveler = LevelerSecurityRefresh }, nil, img},
+		{"GapWritePeriod", func(c *Config) { c.GapWritePeriod++ }, nil, img},
+		{"SRInnerRegions", func(c *Config) { c.SRInnerRegions = 4 }, nil, img},
+		{"SGRegions", func(c *Config) { c.SGRegions = 4 }, nil, img},
+		{"WFRRegions", func(c *Config) { c.WFRRegions = 4 }, nil, img},
+		{"SWEpochWrites", func(c *Config) { c.SWEpochWrites = 64 }, nil, img},
+		{"CustomLeveler", func(c *Config) { c.CustomLeveler = wear.Static{Size: c.Blocks} }, nil, img},
+		{"Protector", func(c *Config) { c.Protector = ProtectorFREEp }, nil, img},
+		{"FreepReserveFraction", func(c *Config) { c.FreepReserveFraction = 0.10 }, nil, img},
+		{"FreepZombiePairing", func(*Config) {}, nil, retiredSlotSet(t, img)},
+		{"LLSChunkPages", func(c *Config) { c.LLSChunkPages *= 2 }, nil, img},
+		{"LLSSalvageGroups", func(c *Config) { c.LLSSalvageGroups *= 2 }, nil, img},
+		{"LLSBackupFraction", func(c *Config) { c.LLSBackupFraction = 0.25 }, nil, img},
+		{"ECC", func(c *Config) { c.ECC = ECCPAYG }, nil, img},
+		{"CacheKB", func(c *Config) { c.CacheKB = 4 }, nil, img},
+		{"TrackContent", func(c *Config) { c.TrackContent = true }, nil, img},
+		{"DisableChainReduction", func(c *Config) { c.DisableChainReduction = true }, nil, img},
+		{"ImmediateAcquisition", func(c *Config) { c.ImmediateAcquisition = true }, nil, img},
+		{"RevPointerBytes", func(c *Config) { c.RevPointerBytes = 8 }, nil, img},
+		{"workload", func(*Config) {}, benchGen("mg"), img},
 	} {
 		cfg := ckptTestConfig()
 		tc.mutate(&cfg)
-		gen, err := benchGen("ocean")(cfg)
+		newGen := tc.gen
+		if newGen == nil {
+			newGen = benchGen("ocean")
+		}
+		gen, err := newGen(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		other, err := NewEngine(cfg, gen)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", tc.field, err)
 		}
 		err = other.RestoreCheckpoint(tc.img)
 		if !errors.Is(err, ErrConfigMismatch) || !strings.Contains(err.Error(), "("+tc.field+" differs)") {
 			t.Errorf("%s: restore = %v, want a %s mismatch", tc.field, err, tc.field)
 		}
+	}
+}
+
+// TestCheckpointImageDigests pins the checkpoint bytes every engine
+// layer writes: the SHA-256 of each role's image (observer attached)
+// after a fixed write count, and of one observed grid-4 sharded chip's.
+// A change to a section's name, order or payload, or to the config
+// fingerprint, changes a digest here.
+func TestCheckpointImageDigests(t *testing.T) {
+	const writes = 20_000
+	want := map[string]string{
+		"static-none":     "47a1fd66eaa92f2e3172cabd7880e58351a04c9476a0e55cfe9399895e336d33",
+		"sg-none":         "e11885f8c08fd3c226923a6f4807cf7d402f50287b2586673d17c2d183eddc80",
+		"sg-wlr":          "253c58be06d43e590f741e52a798a8b1eb86ba4089159c044a8971722fff6643",
+		"sg-wlr-cache":    "2692264030c1473b37bbfa05ce4346db0975b7e7175435fb5b226c76d7b95093",
+		"sg-wlr-content":  "d8be78da5ed8cf617853ef9762dfedf94f2a15f8c8f835f24dcf13cc7f81b1b0",
+		"sr2l-wlr":        "f186fcc530540ce77ec944601529c343834a474d21ba2b3259a77c9e40258999",
+		"rsg-wlr":         "d6076c92b95998ec64b017c94a522d46e826f1876fa5911c92b79954fab29589",
+		"sg-freep":        "8a9e65caa81b181236d2293a1f46ff7f4ef8a7e4dc4ef9f89fc661675e18ea75",
+		"sg-lls":          "e7cd2ac026c32f56b12a2f75bbd869f9481548302326a2f07c9d8a674a6558a2",
+		"wfr-wlr":         "cdeea218dc55d0c35c3a0006d9ed241a19b1a9b9a2c029f644a6c4e55529410e",
+		"wfr-freep":       "d9b64243863167db905288a7f574233b641669ca626bb7937cc0e239aa3ea52a",
+		"sw-wlr":          "1ccd2cdef2fd46e8b4c66cdfc303c66fde506dd362c195660e50fba7779b8a87",
+		"sw-lls":          "05d2180ea30b63d14876228ad8049f34af611d1370103ebf4800c7c6fdd40a50",
+		"sg-wlr-hammer":   "91109ad6a87d46edf80bda3c80d072177a3802f1cb8ff4bd9dc7d11e22cf8974",
+		"sg-wlr-birthday": "5e446e91b789a37017cb9963649146b60f34b6603e9a11e274507d9d25d2036c",
+		"sharded-sg-wlr":  "348d7812b0a12cd9d20197e6647dcfdd6a9431f789444ce494dfa73008cab952",
+	}
+	digest := func(img []byte) string {
+		sum := sha256.Sum256(img)
+		return hex.EncodeToString(sum[:])
+	}
+	for _, r := range ckptRoles() {
+		if got := digest(finalImage(t, buildRole(t, r), writes)); got != want[r.name] {
+			t.Errorf("%s: image sha256 %s, want %s", r.name, got, want[r.name])
+		}
+	}
+	se, _ := buildSharded(t, ckptRoles()[2], 1) // sg-wlr
+	if got := digest(shardedFinalImage(t, se, writes)); got != want["sharded-sg-wlr"] {
+		t.Errorf("sharded-sg-wlr: image sha256 %s, want %s", got, want["sharded-sg-wlr"])
 	}
 }
 
