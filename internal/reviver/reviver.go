@@ -854,23 +854,11 @@ func (r *Reviver) Migrate(src, dst uint64) {
 	headPA, okHead := r.lv.Inverse(src) // post-update, headPA maps to dst
 	tag, has, accesses := r.readEffective(src)
 	r.st.MaintenanceAccesses += accesses
-	if len(r.pending) > 0 {
-		// An earlier operation is already waiting; queue behind it to
-		// preserve order.
-		r.suspend(dst, tag, has, headPA, okHead)
-		return
-	}
 	rm := remap{}
 	if okHead {
 		rm = remap{pa1: headPA, da1: dst, n: 1}
 	}
-	head, hasHead := r.chainHead(headPA, okHead, dst)
-	accesses, needPA, stop := r.deliver(dst, tag, head, hasHead, rm, true, has)
-	r.st.MaintenanceAccesses += accesses
-	if needPA {
-		e, h, ok := r.retarget(stop, dst, headPA, okHead)
-		r.suspend(e, tag, has, h, ok)
-	}
+	r.deliverOrSuspend(dst, tag, has, headPA, okHead, rm)
 }
 
 // Swap implements wear.Mover: the scheme exchanges the data at a and b
@@ -903,6 +891,8 @@ func (r *Reviver) Swap(a, b uint64) {
 // deliverOrSuspend performs one delivery, suspending on PA starvation.
 func (r *Reviver) deliverOrSuspend(entry, tag uint64, has bool, headPA uint64, hasHead bool, rm remap) {
 	if len(r.pending) > 0 {
+		// An earlier operation is already waiting; queue behind it to
+		// preserve order.
 		r.suspend(entry, tag, has, headPA, hasHead)
 		return
 	}
