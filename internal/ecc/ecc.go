@@ -230,87 +230,3 @@ var (
 	_ Scheme = (*ECP)(nil)
 	_ Scheme = (*PAYG)(nil)
 )
-
-// SAFER implements Stuck-At-Fault Error Recovery (Seong et al.,
-// MICRO'10), the other hard-error scheme the paper cites. SAFER exploits
-// the fact that a stuck-at PCM cell still reads reliably: it dynamically
-// partitions a data block into groups such that each group contains at
-// most one stuck cell, then stores each group either directly or
-// inverted so the stuck value always matches the data.
-//
-// The simulator models correction capacity: SAFER-n (n a power of two)
-// partitions into up to n groups and is modeled as correcting up to n
-// stuck cells per block. (The real scheme guarantees separability for
-// two arbitrary faults and achieves near-certain separability for more
-// via its recursive bit-flipping partition; the deterministic-capacity
-// simplification is documented here and errs slightly in SAFER's
-// favour.) Metadata per the SAFER paper: log2(n) group-count bits, the
-// partition field, and n inversion bits — for SAFER32 over a 512-bit
-// block, 5 + 29 + 32 = 66 bits; the constructor computes the general
-// form.
-type SAFER struct {
-	name      string  // ckpt:skip construction-time label
-	capacity  int     // ckpt:skip construction-time capacity, fingerprinted by the engine
-	bits      float64 // ckpt:skip construction-time overhead constant
-	numBlocks uint64  // ckpt:skip construction-time geometry, fingerprinted by the engine
-	used      map[uint64]uint16
-	deadFlag  bitset.Bits
-}
-
-// NewSAFER returns a SAFER-n scheme (n must be a positive power of two)
-// for a device of numBlocks blocks with cellsPerBlock-cell groups.
-func NewSAFER(n int, cellsPerBlock int, numBlocks uint64) (*SAFER, error) {
-	if n <= 0 || n&(n-1) != 0 {
-		return nil, fmt.Errorf("ecc: SAFER group count %d must be a positive power of two", n)
-	}
-	if cellsPerBlock <= 0 {
-		return nil, fmt.Errorf("ecc: cellsPerBlock must be positive")
-	}
-	logN := 0
-	for 1<<logN < n {
-		logN++
-	}
-	// Partition field: ceil(log2(cells)) bits per partition level beyond
-	// the first, following the paper's recursive construction.
-	logCells := 0
-	for 1<<logCells < cellsPerBlock {
-		logCells++
-	}
-	partitionBits := 0
-	if logN > 0 {
-		partitionBits = logCells + (logN-1)*logN/2
-	}
-	return &SAFER{
-		name:      fmt.Sprintf("SAFER%d", n),
-		capacity:  n,
-		bits:      float64(logN + partitionBits + n),
-		numBlocks: numBlocks,
-		used:      make(map[uint64]uint16),
-		deadFlag:  bitset.New(numBlocks),
-	}, nil
-}
-
-// Name implements Scheme.
-func (s *SAFER) Name() string { return s.name }
-
-// MetadataBitsPerBlock implements Scheme.
-func (s *SAFER) MetadataBitsPerBlock() float64 { return s.bits }
-
-// Absorb implements Scheme.
-func (s *SAFER) Absorb(b pcm.BlockID, newFailures int) bool {
-	if s.deadFlag.Test(uint64(b)) {
-		return false
-	}
-	u := s.used[uint64(b)] + uint16(newFailures)
-	s.used[uint64(b)] = u
-	if int(u) > s.capacity {
-		s.deadFlag.Set(uint64(b))
-		return false
-	}
-	return true
-}
-
-// Used returns the number of stuck cells tolerated on block b.
-func (s *SAFER) Used(b pcm.BlockID) int { return int(s.used[uint64(b)]) }
-
-var _ Scheme = (*SAFER)(nil)

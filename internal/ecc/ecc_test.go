@@ -208,73 +208,3 @@ func TestPAYGPostponesFirstFailureVsSmallECP(t *testing.T) {
 			paygDeath, ecpDeath)
 	}
 }
-
-func TestSAFERBasics(t *testing.T) {
-	s, err := NewSAFER(32, 512, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Name() != "SAFER32" {
-		t.Errorf("name = %q", s.Name())
-	}
-	// 5 group-count bits + partition field + 32 inversion bits.
-	if bits := s.MetadataBitsPerBlock(); bits < 40 || bits > 80 {
-		t.Errorf("SAFER32 metadata = %v bits, want tens of bits", bits)
-	}
-	for i := 0; i < 32; i++ {
-		if !s.Absorb(0, 1) {
-			t.Fatalf("failure %d should be tolerable", i+1)
-		}
-	}
-	if s.Used(0) != 32 {
-		t.Errorf("used = %d", s.Used(0))
-	}
-	if s.Absorb(0, 1) {
-		t.Error("33rd stuck cell should kill SAFER32")
-	}
-	if s.Absorb(0, 0) {
-		t.Error("dead stays dead")
-	}
-	if !s.Absorb(1, 4) {
-		t.Error("other blocks unaffected")
-	}
-}
-
-func TestSAFERValidation(t *testing.T) {
-	for _, n := range []int{0, -1, 3, 12} {
-		if _, err := NewSAFER(n, 512, 4); err == nil {
-			t.Errorf("SAFER(%d) accepted", n)
-		}
-	}
-	if _, err := NewSAFER(8, 0, 4); err == nil {
-		t.Error("zero cells accepted")
-	}
-}
-
-// SAFER-32 should outlast ECP6 on a wearing block (more capacity), at
-// similar or larger metadata cost.
-func TestSAFEROutlastsECP6PerBlock(t *testing.T) {
-	mk := func() *pcm.Device {
-		d, _ := pcm.NewDevice(pcm.Config{
-			NumBlocks: 4, BlockBytes: 64, CellsPerBlock: 512,
-			MeanEndurance: 1000, LifetimeCoV: 0.2, Seed: 5,
-		})
-		return d
-	}
-	death := func(s Scheme, d *pcm.Device) int {
-		for i := 1; i < 100000; i++ {
-			nf := d.Write(0)
-			if nf > 0 && !s.Absorb(0, nf) {
-				return i
-			}
-		}
-		return 1 << 30
-	}
-	ecp6, _ := NewECP(6, 4)
-	safer, _ := NewSAFER(32, 512, 4)
-	dEcp := death(ecp6, mk())
-	dSafer := death(safer, mk())
-	if dSafer <= dEcp {
-		t.Errorf("SAFER32 died at write %d, ECP6 at %d", dSafer, dEcp)
-	}
-}

@@ -101,24 +101,3 @@ func (p *PAYG) LoadState(dec *ckpt.Decoder) error {
 	p.pooledUsed = pooledUsed
 	return nil
 }
-
-// SaveState serializes SAFER's per-block stuck-cell usage and dead flags.
-func (s *SAFER) SaveState(enc *ckpt.Encoder) {
-	saveSparseU16(enc, s.used)
-	enc.U64s(s.deadFlag.Words())
-}
-
-// LoadState restores state written by SaveState into a scheme built for
-// the identical device geometry.
-func (s *SAFER) LoadState(dec *ckpt.Decoder) error {
-	used, err := loadSparseU16(dec, s.numBlocks, "SAFER")
-	if err != nil {
-		return err
-	}
-	dec.U64sInto(s.deadFlag.Words())
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	s.used = used
-	return nil
-}

@@ -214,41 +214,3 @@ func (c *Curve) YAt(x float64) float64 {
 	frac := (x - a.X) / (b.X - a.X)
 	return a.Y*(1-frac) + b.Y*frac
 }
-
-// XWhereYFallsTo returns the smallest sampled X at which Y has dropped to
-// or below threshold, assuming Y is non-increasing in X (as survival-rate
-// and usable-space curves are). Returns (0, false) if Y never drops.
-func (c *Curve) XWhereYFallsTo(threshold float64) (float64, bool) {
-	for _, p := range c.Points {
-		if p.Y <= threshold {
-			return p.X, true
-		}
-	}
-	return 0, false
-}
-
-// Sampler triggers curve sampling every Interval units of X.
-type Sampler struct {
-	Interval float64
-	next     float64
-}
-
-// NewSampler returns a Sampler that fires at x=0 and then every interval.
-func NewSampler(interval float64) *Sampler {
-	if interval <= 0 {
-		panic("stats: sampler interval must be positive")
-	}
-	return &Sampler{Interval: interval}
-}
-
-// Due reports whether a sample is due at position x and, if so, advances
-// the next trigger past x.
-func (s *Sampler) Due(x float64) bool {
-	if x < s.next {
-		return false
-	}
-	for s.next <= x {
-		s.next += s.Interval
-	}
-	return true
-}

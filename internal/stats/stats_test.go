@@ -221,50 +221,6 @@ func TestCurveYAt(t *testing.T) {
 	}
 }
 
-func TestCurveXWhereYFallsTo(t *testing.T) {
-	var c Curve
-	c.Append(0, 100)
-	c.Append(10, 80)
-	c.Append(20, 60)
-	if x, ok := c.XWhereYFallsTo(70); !ok || x != 20 {
-		t.Errorf("fall to 70: got (%v,%v), want (20,true)", x, ok)
-	}
-	if _, ok := c.XWhereYFallsTo(10); ok {
-		t.Error("should never fall to 10")
-	}
-}
-
-func TestSampler(t *testing.T) {
-	s := NewSampler(10)
-	if !s.Due(0) {
-		t.Fatal("sampler should fire at 0")
-	}
-	if s.Due(5) {
-		t.Fatal("should not fire at 5")
-	}
-	if !s.Due(10) {
-		t.Fatal("should fire at 10")
-	}
-	if !s.Due(35) { // skips ahead past gaps
-		t.Fatal("should fire at 35")
-	}
-	if s.Due(39) {
-		t.Fatal("should not fire again before 40")
-	}
-	if !s.Due(40) {
-		t.Fatal("should fire at 40")
-	}
-}
-
-func TestSamplerPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewSampler(0)
-}
-
 // TestCurveLoadStateBoundsCount: a point count the section's bytes cannot
 // hold is refused before it sizes an allocation.
 func TestCurveLoadStateBoundsCount(t *testing.T) {
