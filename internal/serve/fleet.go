@@ -241,11 +241,7 @@ func (f *Fleet) Create(id string, spec DeviceSpec) error {
 	if !validID.MatchString(id) {
 		return fmt.Errorf("serve: invalid device id %q (want %s): %w", id, validID, sim.ErrBadConfig)
 	}
-	cfg, err := spec.config()
-	if err != nil {
-		return err
-	}
-	eng, err := buildEngine(spec)
+	eng, cfg, err := buildEngine(spec)
 	if err != nil {
 		return err
 	}
@@ -617,11 +613,7 @@ func (f *Fleet) saveCheckpointLocked(res *resident) ([]byte, error) {
 func (f *Fleet) load(d *device) (*resident, error) {
 	d.diskMu.Lock()
 	defer d.diskMu.Unlock()
-	cfg, err := d.spec.config()
-	if err != nil {
-		return nil, err
-	}
-	eng, err := buildEngine(d.spec)
+	eng, cfg, err := buildEngine(d.spec)
 	if err != nil {
 		return nil, err
 	}

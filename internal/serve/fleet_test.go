@@ -39,7 +39,7 @@ func testConfig(t *testing.T) Config {
 // — the byte-exact target every fleet path must hit.
 func referenceRun(t *testing.T, spec DeviceSpec, n uint64) (metrics, img []byte) {
 	t.Helper()
-	eng, err := buildEngine(spec)
+	eng, _, err := buildEngine(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestFleetAddressWrites(t *testing.T) {
 		addrs[i] = uint64(i*37) % (1 << 9)
 	}
 
-	eng, err := buildEngine(spec)
+	eng, _, err := buildEngine(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +458,7 @@ func TestFleetLargeAddressBatchRecovers(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = uint64(i*37) % (1 << 9)
 	}
-	eng, err := buildEngine(spec)
+	eng, _, err := buildEngine(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -241,7 +241,7 @@ func TestHTTPMetricsAfterReload(t *testing.T) {
 		}
 	}
 
-	eng, err := buildEngine(spec)
+	eng, _, err := buildEngine(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

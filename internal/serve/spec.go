@@ -191,13 +191,14 @@ func (s DeviceSpec) workload(cfg sim.Config) trace.Spec {
 }
 
 // buildEngine constructs the device's engine from its spec, with a
-// fresh metrics observer attached. The result is a pure function of the
-// spec: two calls yield engines whose checkpoint images agree byte for
-// byte after the same write sequence.
-func buildEngine(s DeviceSpec) (*sim.Engine, error) {
+// fresh metrics observer attached, and returns it with the resolved
+// configuration. The result is a pure function of the spec: two calls
+// yield engines whose checkpoint images agree byte for byte after the
+// same write sequence.
+func buildEngine(s DeviceSpec) (*sim.Engine, sim.Config, error) {
 	cfg, err := s.config()
 	if err != nil {
-		return nil, err
+		return nil, sim.Config{}, err
 	}
 	gen, err := trace.NewFromSpec(s.workload(cfg))
 	if err != nil {
@@ -205,12 +206,12 @@ func buildEngine(s DeviceSpec) (*sim.Engine, error) {
 			// A workload the generator refuses is a bad spec too.
 			err = fmt.Errorf("serve: %w: %w", err, sim.ErrBadConfig)
 		}
-		return nil, err
+		return nil, sim.Config{}, err
 	}
 	cfg.Observer = obs.NewMetrics()
 	eng, err := sim.NewEngine(cfg, gen)
 	if err != nil {
-		return nil, fmt.Errorf("serve: building device engine: %w", err)
+		return nil, sim.Config{}, fmt.Errorf("serve: building device engine: %w", err)
 	}
-	return eng, nil
+	return eng, cfg, nil
 }

@@ -51,7 +51,7 @@ func FuzzDeviceSpec(f *testing.F) {
 			t.Fatalf("%s: workload %+v, after round trip %+v", data, w, w2)
 		}
 
-		if _, err := buildEngine(spec); err != nil {
+		if _, _, err := buildEngine(spec); err != nil {
 			if _, code := classify(err); code != http.StatusBadRequest {
 				t.Fatalf("%s: accepted spec fails to build with HTTP %d: %v", data, code, err)
 			}
@@ -95,7 +95,7 @@ func TestDeviceSpecBounds(t *testing.T) {
 				t.Errorf("spec at the bound rejected: %v", err)
 			}
 			if c.buildAtOK {
-				if _, err := buildEngine(c.at); err != nil {
+				if _, _, err := buildEngine(c.at); err != nil {
 					t.Errorf("spec at the bound does not build: %v", err)
 				}
 			}
