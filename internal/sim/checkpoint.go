@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"wlreviver/internal/ckpt"
+	"wlreviver/internal/obs"
 	"wlreviver/internal/wear"
 )
 
@@ -15,12 +16,13 @@ import (
 // uninterrupted result.
 var ErrCrashed = errors.New("sim: run halted by injected crash fault")
 
-// ckptSaver and ckptLoader are the per-layer checkpoint interfaces:
-// SaveState appends the layer's mutable state to the open section, and
-// LoadState restores it into a layer freshly built from the identical
-// configuration.
-type ckptSaver interface{ SaveState(*ckpt.Encoder) }
-type ckptLoader interface{ LoadState(*ckpt.Decoder) error }
+// ckptState is a checkpoint section's payload: SaveState appends the
+// state to the open section, and LoadState restores it into a value
+// freshly built from the identical configuration.
+type ckptState interface {
+	SaveState(*ckpt.Encoder)
+	LoadState(*ckpt.Decoder) error
+}
 
 // Checkpoint serializes the engine's complete mutable state — every
 // layer plus the write cursor and workload stream position — into a
@@ -29,134 +31,154 @@ type ckptLoader interface{ LoadState(*ckpt.Decoder) error }
 // from the same Config and overlays this state, which keeps derived
 // structures (randomizer tables, alias samplers, calibrated weights) out
 // of the file.
-func (e *Engine) Checkpoint() ([]byte, error) {
-	enc := ckpt.NewEncoder()
-	if err := e.encodeState(enc); err != nil {
-		return nil, err
-	}
-	return enc.Finish(), nil
-}
+func (e *Engine) Checkpoint() ([]byte, error) { return checkpoint(e) }
 
 // RestoreCheckpoint restores an image produced by Checkpoint into an
 // engine freshly built from the identical Config and workload. On any
 // error (corruption, truncation, configuration mismatch) the engine's
 // state is unspecified and the engine must be discarded — build a new
 // one before retrying.
-func (e *Engine) RestoreCheckpoint(data []byte) error {
+func (e *Engine) RestoreCheckpoint(data []byte) error { return restore(e, data) }
+
+// checkpoint returns m's complete state as one image.
+func checkpoint(m Machine) ([]byte, error) {
+	enc := ckpt.NewEncoder()
+	if err := m.encodeState(enc); err != nil {
+		return nil, err
+	}
+	return enc.Finish(), nil
+}
+
+// restore overlays the image data onto m, which must read all of it.
+func restore(m Machine, data []byte) error {
 	d, err := ckpt.NewDecoder(data)
 	if err != nil {
 		return err
 	}
-	if err := e.decodeState(d); err != nil {
+	if err := m.decodeState(d); err != nil {
 		return err
 	}
 	return d.Close()
 }
 
-// encodeState writes the engine's sections, in fixed order, to enc.
-// Callers may append further sections before Finish (the experiment
-// driver stores its harness state in the same file).
-func (e *Engine) encodeState(enc *ckpt.Encoder) error {
-	e.encodeConfig(enc)
-
-	gs, ok := e.gen.(ckptSaver)
-	if !ok {
-		return fmt.Errorf("sim: workload %q does not support checkpointing", e.gen.Name())
-	}
-	enc.Begin("workload")
-	gs.SaveState(enc)
+// writeSection writes st as the section name.
+func writeSection(enc *ckpt.Encoder, name string, st ckptState) {
+	enc.Begin(name)
+	st.SaveState(enc)
 	enc.End()
+}
 
-	enc.Begin("engine")
+// readSection reads the section name into st.
+func readSection(d *ckpt.Decoder, name string, st ckptState) error {
+	if err := d.Section(name); err != nil {
+		return err
+	}
+	return st.LoadState(d)
+}
+
+// engineSections lists the engine's checkpoint sections in image order;
+// encodeState writes them and decodeState reads them back by walking
+// this one list. state returns the value that carries a section, nil
+// to omit it, or an error when the configured layer cannot checkpoint.
+var engineSections = [...]struct {
+	name  string
+	state func(*Engine) (ckptState, error)
+}{
+	{"config", func(e *Engine) (ckptState, error) { return e.fingerprint(), nil }},
+	{"workload", func(e *Engine) (ckptState, error) { return layerState(e.gen, "workload") }},
+	{"engine", func(e *Engine) (ckptState, error) { return engineCursor{e}, nil }},
+	{"device", func(e *Engine) (ckptState, error) { return e.dev, nil }},
+	{"ecc", func(e *Engine) (ckptState, error) { return layerState(e.be.ECC, "ECC scheme") }},
+	{"leveler", func(e *Engine) (ckptState, error) {
+		if _, static := e.lv.(wear.Static); static {
+			return noState{}, nil // stateless: its section is intentionally empty
+		}
+		return layerState(e.lv, "leveler")
+	}},
+	{"os", func(e *Engine) (ckptState, error) { return e.os, nil }},
+	{"protector", func(e *Engine) (ckptState, error) { return layerState(e.prot, "protector") }},
+	{"cache", func(e *Engine) (ckptState, error) {
+		if e.remapCache == nil {
+			return nil, nil
+		}
+		return e.remapCache, nil
+	}},
+	// Always present, so the section sequence does not depend on runtime
+	// flags; byte-identical resumed metrics require resuming with the
+	// same observer configuration.
+	{"observer", func(e *Engine) (ckptState, error) { return observerState{e.observer}, nil }},
+}
+
+// encodeState writes the engine's sections, in engineSections order, to
+// enc. Callers may append further sections before Finish (the
+// experiment driver stores its harness state in the same file).
+func (e *Engine) encodeState(enc *ckpt.Encoder) error {
+	for _, s := range engineSections {
+		st, err := s.state(e)
+		if err != nil {
+			return err
+		}
+		if st != nil {
+			writeSection(enc, s.name, st)
+		}
+	}
+	return nil
+}
+
+// decodeState reads the engine's sections from d, in engineSections
+// order; the first, the configuration fingerprint, must match. On error
+// the engine is partially restored and must be discarded by the caller.
+func (e *Engine) decodeState(d *ckpt.Decoder) error {
+	for _, s := range engineSections {
+		st, err := s.state(e)
+		if err != nil {
+			return err
+		}
+		if st != nil {
+			if err := readSection(d, s.name, st); err != nil {
+				return err
+			}
+		}
+	}
+	return d.Err()
+}
+
+// layerState returns a configured layer as its checkpoint state, or an
+// error naming it as what when it cannot checkpoint.
+func layerState(l interface{ Name() string }, what string) (ckptState, error) {
+	st, ok := l.(ckptState)
+	if !ok {
+		return nil, fmt.Errorf("sim: %s %q does not support checkpointing", what, l.Name())
+	}
+	return st, nil
+}
+
+// noState is an empty section's payload.
+type noState struct{}
+
+func (noState) SaveState(*ckpt.Encoder)         {}
+func (noState) LoadState(d *ckpt.Decoder) error { return d.Err() }
+
+// engineCursor is the "engine" section: the write cursor, the stop
+// flag, the next snapshot threshold and the unconsumed tail of the
+// address-prefetch buffer (the workload generator's state has already
+// advanced past those addresses).
+type engineCursor struct{ e *Engine }
+
+func (c engineCursor) SaveState(enc *ckpt.Encoder) {
+	e := c.e
 	enc.U64(e.writes)
 	enc.Bool(e.stopped)
 	enc.U64(e.nextSnap)
 	if e.batchGen != nil {
-		// The unconsumed tail of the address-prefetch buffer: the workload
-		// generator's state has already advanced past these addresses.
 		enc.U64s(e.addrBuf[e.addrPos:])
 	} else {
 		enc.U64s(nil)
 	}
-	enc.End()
-
-	enc.Begin("device")
-	e.dev.SaveState(enc)
-	enc.End()
-
-	es, ok := e.be.ECC.(ckptSaver)
-	if !ok {
-		return fmt.Errorf("sim: ECC scheme %q does not support checkpointing", e.be.ECC.Name())
-	}
-	enc.Begin("ecc")
-	es.SaveState(enc)
-	enc.End()
-
-	// The Static leveler is stateless; its section is intentionally empty.
-	enc.Begin("leveler")
-	if _, static := e.lv.(wear.Static); !static {
-		ls, ok := e.lv.(ckptSaver)
-		if !ok {
-			return fmt.Errorf("sim: leveler %q does not support checkpointing", e.lv.Name())
-		}
-		ls.SaveState(enc)
-	}
-	enc.End()
-
-	enc.Begin("os")
-	e.os.SaveState(enc)
-	enc.End()
-
-	ps, ok := e.prot.(ckptSaver)
-	if !ok {
-		return fmt.Errorf("sim: protector %q does not support checkpointing", e.prot.Name())
-	}
-	enc.Begin("protector")
-	ps.SaveState(enc)
-	enc.End()
-
-	if e.remapCache != nil {
-		enc.Begin("cache")
-		e.remapCache.SaveState(enc)
-		enc.End()
-	}
-
-	// The observer section is always present so the section sequence does
-	// not depend on runtime flags; byte-identical resumed metrics require
-	// resuming with the same observer configuration.
-	enc.Begin("observer")
-	if osv, ok := e.observer.(ckptSaver); ok {
-		enc.Bool(true)
-		osv.SaveState(enc)
-	} else {
-		enc.Bool(false)
-	}
-	enc.End()
-	return nil
 }
 
-// decodeState reads the engine's sections from d, in the encodeState
-// order, after validating the configuration fingerprint. On error the
-// engine is partially restored and must be discarded by the caller.
-func (e *Engine) decodeState(d *ckpt.Decoder) error {
-	if err := e.decodeConfig(d); err != nil {
-		return err
-	}
-
-	if err := d.Section("workload"); err != nil {
-		return err
-	}
-	gl, ok := e.gen.(ckptLoader)
-	if !ok {
-		return fmt.Errorf("sim: workload %q does not support checkpointing", e.gen.Name())
-	}
-	if err := gl.LoadState(d); err != nil {
-		return err
-	}
-
-	if err := d.Section("engine"); err != nil {
-		return err
-	}
+func (c engineCursor) LoadState(d *ckpt.Decoder) error {
+	e := c.e
 	writes := d.U64()
 	stopped := d.Bool()
 	nextSnap := d.U64()
@@ -181,174 +203,130 @@ func (e *Engine) decodeState(d *ckpt.Decoder) error {
 		e.addrBuf = append(e.addrBuf[:0], tail...)
 		e.addrPos = 0
 	}
+	return nil
+}
 
-	if err := d.Section("device"); err != nil {
-		return err
-	}
-	if err := e.dev.LoadState(d); err != nil {
-		return err
-	}
+// observerState is an observer section: a presence flag, then the
+// observer's own state when it checkpoints.
+type observerState struct{ o obs.Observer }
 
-	if err := d.Section("ecc"); err != nil {
-		return err
+func (s observerState) SaveState(enc *ckpt.Encoder) {
+	st, ok := s.o.(ckptState)
+	enc.Bool(ok)
+	if ok {
+		st.SaveState(enc)
 	}
-	el, ok := e.be.ECC.(ckptLoader)
-	if !ok {
-		return fmt.Errorf("sim: ECC scheme %q does not support checkpointing", e.be.ECC.Name())
-	}
-	if err := el.LoadState(d); err != nil {
-		return err
-	}
+}
 
-	if err := d.Section("leveler"); err != nil {
-		return err
+func (s observerState) LoadState(d *ckpt.Decoder) error {
+	if !d.Bool() {
+		return d.Err()
 	}
-	if _, static := e.lv.(wear.Static); !static {
-		ll, ok := e.lv.(ckptLoader)
-		if !ok {
-			return fmt.Errorf("sim: leveler %q does not support checkpointing", e.lv.Name())
-		}
-		if err := ll.LoadState(d); err != nil {
-			return err
-		}
+	if st, ok := s.o.(ckptState); ok {
+		return st.LoadState(d)
 	}
-
-	if err := d.Section("os"); err != nil {
-		return err
-	}
-	if err := e.os.LoadState(d); err != nil {
-		return err
-	}
-
-	if err := d.Section("protector"); err != nil {
-		return err
-	}
-	pl, ok := e.prot.(ckptLoader)
-	if !ok {
-		return fmt.Errorf("sim: protector %q does not support checkpointing", e.prot.Name())
-	}
-	if err := pl.LoadState(d); err != nil {
-		return err
-	}
-
-	if e.remapCache != nil {
-		if err := d.Section("cache"); err != nil {
-			return err
-		}
-		if err := e.remapCache.LoadState(d); err != nil {
-			return err
-		}
-	}
-
-	if err := d.Section("observer"); err != nil {
-		return err
-	}
-	if d.Bool() {
-		if ol, ok := e.observer.(ckptLoader); ok {
-			if err := ol.LoadState(d); err != nil {
-				return err
-			}
-		} else {
-			// The checkpoint carries observer state but this engine runs
-			// unobserved; the metrics are knowingly dropped.
-			d.SkipRest()
-		}
-	}
+	// The checkpoint carries observer state but this engine runs
+	// unobserved; the metrics are knowingly dropped.
+	d.SkipRest()
 	return d.Err()
 }
 
-// encodeConfig writes the configuration fingerprint: every Config field
-// that shapes construction, plus the workload's identity. decodeConfig
-// compares field by field so a resume against a different configuration
-// fails with a descriptive error instead of silently diverging.
-func (e *Engine) encodeConfig(enc *ckpt.Encoder) {
-	c := e.cfg
-	enc.Begin("config")
-	enc.U64(c.Blocks)
-	enc.U64(c.BlocksPerPage)
-	enc.I64(int64(c.CellsPerBlock))
-	enc.F64(c.MeanEndurance)
-	enc.F64(c.LifetimeCoV)
-	enc.U64(c.Seed)
-	enc.I64(int64(c.Leveler))
-	enc.U64(c.GapWritePeriod)
-	enc.U64(c.SRInnerRegions)
-	enc.U64(c.SGRegions)
-	enc.U64(c.WFRRegions)
-	enc.U64(c.SWEpochWrites)
-	custom := ""
-	if c.CustomLeveler != nil {
-		custom = c.CustomLeveler.Name()
-	}
-	enc.String(custom)
-	enc.I64(int64(c.Protector))
-	enc.F64(c.FreepReserveFraction)
-	enc.Bool(false) // retired FREE-p pair-coding slot, always false
-	enc.U64(c.LLSChunkPages)
-	enc.U64(c.LLSSalvageGroups)
-	enc.F64(c.LLSBackupFraction)
-	enc.I64(int64(c.ECC))
-	enc.I64(int64(c.CacheKB))
-	enc.Bool(c.TrackContent)
-	enc.Bool(c.DisableChainReduction)
-	enc.Bool(c.ImmediateAcquisition)
-	enc.I64(int64(c.RevPointerBytes))
-	enc.String(e.gen.Name())
-	enc.U64(e.gen.NumBlocks())
-	enc.End()
+// printField is one configuration fingerprint entry: a name and a value
+// of one of the wire types uint64, int64, float64, bool or string.
+type printField struct {
+	name  string
+	value any
 }
 
-// decodeConfig validates the fingerprint section against this engine's
-// configuration.
-func (e *Engine) decodeConfig(d *ckpt.Decoder) error {
-	if err := d.Section("config"); err != nil {
-		return err
-	}
+// fingerprint is the "config" section: every Config field that shapes
+// construction, plus the workload's identity, in wire order. Observer
+// and SnapshotEvery are left out (observation is passive). LoadState
+// compares field by field so a resume against a different
+// configuration fails with an error naming the field instead of
+// silently diverging.
+type fingerprint []printField
+
+// fingerprint returns the engine's configuration fingerprint.
+func (e *Engine) fingerprint() fingerprint {
 	c := e.cfg
 	custom := ""
 	if c.CustomLeveler != nil {
 		custom = c.CustomLeveler.Name()
 	}
-	checks := []struct {
-		field string
-		match bool
-	}{
-		{"Blocks", d.U64() == c.Blocks},
-		{"BlocksPerPage", d.U64() == c.BlocksPerPage},
-		{"CellsPerBlock", d.I64() == int64(c.CellsPerBlock)},
-		{"MeanEndurance", d.F64() == c.MeanEndurance},
-		{"LifetimeCoV", d.F64() == c.LifetimeCoV},
-		{"Seed", d.U64() == c.Seed},
-		{"Leveler", d.I64() == int64(c.Leveler)},
-		{"GapWritePeriod", d.U64() == c.GapWritePeriod},
-		{"SRInnerRegions", d.U64() == c.SRInnerRegions},
-		{"SGRegions", d.U64() == c.SGRegions},
-		{"WFRRegions", d.U64() == c.WFRRegions},
-		{"SWEpochWrites", d.U64() == c.SWEpochWrites},
-		{"CustomLeveler", d.String() == custom},
-		{"Protector", d.I64() == int64(c.Protector)},
-		{"FreepReserveFraction", d.F64() == c.FreepReserveFraction},
-		{"FreepZombiePairing", !d.Bool()}, // retired pair-coding slot
-		{"LLSChunkPages", d.U64() == c.LLSChunkPages},
-		{"LLSSalvageGroups", d.U64() == c.LLSSalvageGroups},
-		{"LLSBackupFraction", d.F64() == c.LLSBackupFraction},
-		{"ECC", d.I64() == int64(c.ECC)},
-		{"CacheKB", d.I64() == int64(c.CacheKB)},
-		{"TrackContent", d.Bool() == c.TrackContent},
-		{"DisableChainReduction", d.Bool() == c.DisableChainReduction},
-		{"ImmediateAcquisition", d.Bool() == c.ImmediateAcquisition},
-		{"RevPointerBytes", d.I64() == int64(c.RevPointerBytes)},
-		{"workload", d.String() == e.gen.Name()},
-		{"workload blocks", d.U64() == e.gen.NumBlocks()},
+	return fingerprint{
+		{"Blocks", c.Blocks},
+		{"BlocksPerPage", c.BlocksPerPage},
+		{"CellsPerBlock", int64(c.CellsPerBlock)},
+		{"MeanEndurance", c.MeanEndurance},
+		{"LifetimeCoV", c.LifetimeCoV},
+		{"Seed", c.Seed},
+		{"Leveler", int64(c.Leveler)},
+		{"GapWritePeriod", c.GapWritePeriod},
+		{"SRInnerRegions", c.SRInnerRegions},
+		{"SGRegions", c.SGRegions},
+		{"WFRRegions", c.WFRRegions},
+		{"SWEpochWrites", c.SWEpochWrites},
+		{"CustomLeveler", custom},
+		{"Protector", int64(c.Protector)},
+		{"FreepReserveFraction", c.FreepReserveFraction},
+		{"FreepZombiePairing", false}, // retired FREE-p pair-coding slot, always false
+		{"LLSChunkPages", c.LLSChunkPages},
+		{"LLSSalvageGroups", c.LLSSalvageGroups},
+		{"LLSBackupFraction", c.LLSBackupFraction},
+		{"ECC", int64(c.ECC)},
+		{"CacheKB", int64(c.CacheKB)},
+		{"TrackContent", c.TrackContent},
+		{"DisableChainReduction", c.DisableChainReduction},
+		{"ImmediateAcquisition", c.ImmediateAcquisition},
+		{"RevPointerBytes", int64(c.RevPointerBytes)},
+		{"workload", e.gen.Name()},
+		{"workload blocks", e.gen.NumBlocks()},
+	}
+}
+
+func (f fingerprint) SaveState(enc *ckpt.Encoder) {
+	for _, p := range f {
+		switch v := p.value.(type) {
+		case uint64:
+			enc.U64(v)
+		case int64:
+			enc.I64(v)
+		case float64:
+			enc.F64(v)
+		case bool:
+			enc.Bool(v)
+		case string:
+			enc.String(v)
+		}
+	}
+}
+
+func (f fingerprint) LoadState(d *ckpt.Decoder) error {
+	differs := ""
+	for _, p := range f {
+		var got any
+		switch p.value.(type) {
+		case uint64:
+			got = d.U64()
+		case int64:
+			got = d.I64()
+		case float64:
+			got = d.F64()
+		case bool:
+			got = d.Bool()
+		case string:
+			got = d.String()
+		}
+		if got != p.value && differs == "" {
+			differs = p.name
+		}
 	}
 	if err := d.Err(); err != nil {
 		return err
 	}
-	for _, chk := range checks {
-		if !chk.match {
-			return fmt.Errorf("sim: checkpoint was taken under a different configuration (%s differs): %w",
-				chk.field, ErrConfigMismatch)
-		}
+	if differs != "" {
+		return fmt.Errorf("sim: checkpoint was taken under a different configuration (%s differs): %w",
+			differs, ErrConfigMismatch)
 	}
 	return nil
 }

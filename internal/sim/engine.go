@@ -11,9 +11,6 @@ import (
 	"fmt"
 
 	"wlreviver/internal/cache"
-	"wlreviver/internal/ecc"
-	"wlreviver/internal/freep"
-	"wlreviver/internal/lls"
 	"wlreviver/internal/mc"
 	"wlreviver/internal/obs"
 	"wlreviver/internal/osmodel"
@@ -126,6 +123,11 @@ type Engine struct {
 	prot mc.Protector
 	gen  trace.Generator
 
+	// lvOps counts the leveler's cumulative remapping operations (gap
+	// moves, outer-round swaps, decoder swaps or page relocations); nil
+	// for the static and custom levelers, which report 0.
+	lvOps func() uint64
+
 	// Optional protector views and per-write constants, resolved once at
 	// construction so the write loop carries no type assertions or
 	// recomputed bounds.
@@ -200,111 +202,31 @@ func newEngine(cfg Config, gen trace.Generator) (*Engine, error) {
 		}
 	}
 
-	// Wear-leveling scheme (LLS substitutes its restricted randomizer).
-	var lv wear.Leveler
-	if cfg.CustomLeveler != nil {
-		if cfg.CustomLeveler.NumPAs() != cfg.Blocks {
+	// Wear-leveling scheme: the kind's row, unless a custom scheme
+	// overrides it.
+	lv := cfg.CustomLeveler
+	var lvOps func() uint64
+	if lv != nil {
+		if lv.NumPAs() != cfg.Blocks {
 			return nil, fmt.Errorf("sim: custom leveler covers %d PAs, system has %d blocks: %w",
-				cfg.CustomLeveler.NumPAs(), cfg.Blocks, ErrBadConfig)
+				lv.NumPAs(), cfg.Blocks, ErrBadConfig)
 		}
-		lv = cfg.CustomLeveler
-	}
-	if lv == nil {
-		switch cfg.Leveler {
-		case LevelerStartGap:
-			sgCfg := wear.StartGapConfig{
-				NumPAs:         cfg.Blocks,
-				GapWritePeriod: cfg.GapWritePeriod,
-				Seed:           cfg.Seed,
-			}
-			if cfg.Protector == ProtectorLLS {
-				rnd, err := lls.NewRestrictedRandomizer(cfg.Blocks, cfg.Seed)
-				if err != nil {
-					return nil, err
-				}
-				sgCfg.Randomizer = rnd
-			}
-			sg, err := wear.NewStartGap(sgCfg)
-			if err != nil {
-				return nil, err
-			}
-			lv = sg
-		case LevelerSecurityRefresh:
-			sr, err := wear.NewSecurityRefresh(wear.SecurityRefreshConfig{
-				NumPAs:           cfg.Blocks,
-				InnerRegions:     cfg.SRInnerRegions,
-				OuterWritePeriod: cfg.GapWritePeriod,
-				InnerWritePeriod: cfg.GapWritePeriod,
-				Seed:             cfg.Seed,
-			})
-			if err != nil {
-				return nil, err
-			}
-			lv = sr
-		case LevelerRegionedStartGap:
-			regions := cfg.SGRegions
-			if regions == 0 {
-				regions = 4
-			}
-			rsg, err := wear.NewRegionedStartGap(wear.RegionedStartGapConfig{
-				NumPAs:         cfg.Blocks,
-				Regions:        regions,
-				GapWritePeriod: cfg.GapWritePeriod,
-				Seed:           cfg.Seed,
-			})
-			if err != nil {
-				return nil, err
-			}
-			lv = rsg
-		case LevelerWoLFRaM:
-			regions := cfg.WFRRegions
-			if regions == 0 {
-				regions = 4
-			}
-			wfr, err := wear.NewWoLFRaM(wear.WoLFRaMConfig{
-				NumPAs:          cfg.Blocks,
-				Regions:         regions,
-				SwapWritePeriod: cfg.GapWritePeriod,
-				Seed:            cfg.Seed,
-			})
-			if err != nil {
-				return nil, err
-			}
-			lv = wfr
-		case LevelerSoftWear:
-			epoch := cfg.SWEpochWrites
-			if epoch == 0 {
-				epoch = cfg.BlocksPerPage * cfg.GapWritePeriod
-			}
-			sw, err := wear.NewSoftWear(wear.SoftWearConfig{
-				NumPAs:      cfg.Blocks,
-				PageBlocks:  cfg.BlocksPerPage,
-				EpochWrites: epoch,
-			})
-			if err != nil {
-				return nil, err
-			}
-			lv = sw
-		case LevelerNone:
-			lv = wear.Static{Size: cfg.Blocks}
-		default:
-			return nil, fmt.Errorf("sim: unknown leveler %d: %w", cfg.Leveler, ErrBadConfig)
+	} else {
+		row, err := rowFor(levelerRows[:], int(cfg.Leveler), "leveler")
+		if err != nil {
+			return nil, err
+		}
+		if lv, lvOps, err = row.new(cfg); err != nil {
+			return nil, err
 		}
 	}
 
-	// Extra device blocks beyond the leveler's DA space.
+	// Extra device blocks beyond the leveler's DA space. An unknown
+	// protector adds none and fails once the layers beneath it are built.
+	protRow, protErr := rowFor(protectorRows[:], int(cfg.Protector), "protector")
 	extra := uint64(0)
-	switch cfg.Protector {
-	case ProtectorFREEp:
-		extra = freep.ReservedSlots(cfg.Blocks, cfg.FreepReserveFraction)
-	case ProtectorLLS:
-		backupFrac := cfg.LLSBackupFraction
-		if backupFrac == 0 {
-			backupFrac = 0.5
-		}
-		chunkBlocks := cfg.LLSChunkPages * cfg.BlocksPerPage
-		extra = uint64(float64(cfg.Blocks) * backupFrac)
-		extra = (extra + chunkBlocks - 1) / chunkBlocks * chunkBlocks
+	if protRow.extra != nil {
+		extra = protRow.extra(cfg)
 	}
 
 	dev, err := pcm.NewDevice(pcm.Config{
@@ -320,17 +242,11 @@ func newEngine(cfg Config, gen trace.Generator) (*Engine, error) {
 		return nil, err
 	}
 
-	var scheme ecc.Scheme
-	switch cfg.ECC {
-	case ECCECP6:
-		scheme, err = ecc.NewECP(6, dev.NumBlocks())
-	case ECCECP1:
-		scheme, err = ecc.NewECP(1, dev.NumBlocks())
-	case ECCPAYG:
-		scheme, err = ecc.NewPAYG(ecc.DefaultPAYGConfig(dev.NumBlocks()), dev.NumBlocks())
-	default:
-		err = fmt.Errorf("sim: unknown ECC %d: %w", cfg.ECC, ErrBadConfig)
+	eccRow, err := rowFor(eccRows[:], int(cfg.ECC), "ECC")
+	if err != nil {
+		return nil, err
 	}
+	scheme, err := eccRow.new(dev.NumBlocks())
 	if err != nil {
 		return nil, err
 	}
@@ -341,37 +257,15 @@ func newEngine(cfg Config, gen trace.Generator) (*Engine, error) {
 		return nil, err
 	}
 
-	var prot mc.Protector
-	switch cfg.Protector {
-	case ProtectorNone:
-		prot = mc.NewPassthrough(lv, be, osm)
-	case ProtectorWLReviver:
-		prot, err = reviver.New(reviver.Config{
-			PointerBytes:          cfg.RevPointerBytes,
-			RemapCache:            remapCache,
-			DisableChainReduction: cfg.DisableChainReduction,
-			ImmediateAcquisition:  cfg.ImmediateAcquisition,
-			Observer:              cfg.Observer,
-		}, lv, be, osm)
-	case ProtectorFREEp:
-		prot, err = freep.New(freep.Config{
-			ReserveFraction: cfg.FreepReserveFraction,
-			RemapCache:      remapCache,
-		}, lv, be, osm)
-	case ProtectorLLS:
-		prot, err = lls.New(lls.Config{
-			ChunkPages:    cfg.LLSChunkPages,
-			SalvageGroups: cfg.LLSSalvageGroups,
-			RemapCache:    remapCache,
-		}, lv, be, osm)
-	default:
-		err = fmt.Errorf("sim: unknown protector %d: %w", cfg.Protector, ErrBadConfig)
+	if protErr != nil {
+		return nil, protErr
 	}
+	prot, err := protRow.new(cfg, lv, be, osm, remapCache)
 	if err != nil {
 		return nil, err
 	}
 
-	e := &Engine{cfg: cfg, dev: dev, be: be, lv: lv, os: osm, prot: prot, gen: gen}
+	e := &Engine{cfg: cfg, dev: dev, be: be, lv: lv, lvOps: lvOps, os: osm, prot: prot, gen: gen}
 	e.crip, _ = prot.(mc.Crippler)
 	e.space, _ = prot.(mc.SpaceReporter)
 	e.llsStack = cfg.Protector == ProtectorLLS
@@ -431,40 +325,30 @@ func (e *Engine) emitSnapshot() {
 		WritesPerBlock: e.WritesPerBlock(),
 		SurvivalRate:   e.dev.SurvivalRate(),
 		UsableFraction: e.UsableFraction(),
-		DeadBlocks:     e.dev.DeadBlocks(),
-		RetiredPages:   e.os.RetiredPages(),
 		AccessRatio:    e.AccessRatio(),
 		WearCoV:        e.dev.WearCoV(),
 	}
-	if e.rev != nil {
-		s.LiveRemaps = e.rev.LinkedFailures()
-		s.SparePAs = e.rev.AvailableSpares()
-	}
-	s.LevelerOps = levelerOps(e.lv)
-	if e.remapCache != nil {
-		s.CacheHits = e.remapCache.Hits()
-		s.CacheMisses = e.remapCache.Misses()
-	}
+	e.addCounts(&s)
 	e.observer.Snapshot(s)
 }
 
-// levelerOps returns the leveler's cumulative remapping operations (the
-// snapshot's LevelerOps): gap moves, outer-round swaps, decoder swaps or
-// page relocations. Static and custom levelers report 0.
-func levelerOps(lv wear.Leveler) uint64 {
-	switch l := lv.(type) {
-	case *wear.StartGap:
-		return l.GapMoves()
-	case *wear.SecurityRefresh:
-		return l.OuterSwaps()
-	case *wear.RegionedStartGap:
-		return l.GapMoves()
-	case *wear.WoLFRaM:
-		return l.Swaps()
-	case *wear.SoftWear:
-		return l.Relocations()
+// addCounts adds the engine's event counters to s: dead blocks, retired
+// pages, WL-Reviver's live remaps and spares, leveler operations and
+// remap-cache hits and misses. A sharded chip sums them over its shards.
+func (e *Engine) addCounts(s *obs.Snapshot) {
+	s.DeadBlocks += e.dev.DeadBlocks()
+	s.RetiredPages += e.os.RetiredPages()
+	if e.rev != nil {
+		s.LiveRemaps += e.rev.LinkedFailures()
+		s.SparePAs += e.rev.AvailableSpares()
 	}
-	return 0
+	if e.lvOps != nil {
+		s.LevelerOps += e.lvOps()
+	}
+	if e.remapCache != nil {
+		s.CacheHits += e.remapCache.Hits()
+		s.CacheMisses += e.remapCache.Misses()
+	}
 }
 
 // nextAddr returns the next workload address, refilling the prefetch

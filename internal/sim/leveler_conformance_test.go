@@ -170,7 +170,7 @@ func TestLevelerKindsSurviveFailures(t *testing.T) {
 			if u := e.UsableFraction(); u <= 0 || u > 1 {
 				t.Fatalf("usable fraction %v out of range after failures", u)
 			}
-			if levelerOps(e.lv) == 0 {
+			if e.lvOps() == 0 {
 				t.Fatalf("%s performed zero leveling operations over %d writes", kind, e.Writes())
 			}
 		})

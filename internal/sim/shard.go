@@ -194,12 +194,6 @@ func NewShardedEngine(sc ShardedConfig, cfg Config, newGen func(shard uint64, sh
 // Grid returns the shard count (the semantic partition).
 func (se *ShardedEngine) Grid() uint64 { return se.grid }
 
-// PoolSize returns the execution pool width.
-func (se *ShardedEngine) PoolSize() int { return se.pool }
-
-// Shard exposes one shard's engine for inspection (tests, wear dumps).
-func (se *ShardedEngine) Shard(i int) *Engine { return se.shards[i] }
-
 // Config returns the chip-level configuration.
 func (se *ShardedEngine) Config() Config { return se.cfg }
 
@@ -405,17 +399,7 @@ func (se *ShardedEngine) snapshotSample() obs.Snapshot {
 	}
 	var wear stats.Welford
 	for _, e := range se.shards {
-		s.DeadBlocks += e.dev.DeadBlocks()
-		s.RetiredPages += e.os.RetiredPages()
-		if e.rev != nil {
-			s.LiveRemaps += e.rev.LinkedFailures()
-			s.SparePAs += e.rev.AvailableSpares()
-		}
-		s.LevelerOps += levelerOps(e.lv)
-		if e.remapCache != nil {
-			s.CacheHits += e.remapCache.Hits()
-			s.CacheMisses += e.remapCache.Misses()
-		}
+		e.addCounts(&s)
 		wear.Merge(e.dev.WearMoments())
 	}
 	if req, acc := se.RequestCounts(); req > 0 {
@@ -431,27 +415,12 @@ func (se *ShardedEngine) snapshotSample() obs.Snapshot {
 // full section sequence in shard order, then the chip observer's state.
 // The pool width is deliberately NOT stored — it is execution
 // configuration, so any pool can resume the file.
-func (se *ShardedEngine) Checkpoint() ([]byte, error) {
-	enc := ckpt.NewEncoder()
-	if err := se.encodeState(enc); err != nil {
-		return nil, err
-	}
-	return enc.Finish(), nil
-}
+func (se *ShardedEngine) Checkpoint() ([]byte, error) { return checkpoint(se) }
 
 // RestoreCheckpoint restores an image produced by Checkpoint into a
 // sharded engine freshly built from the identical configuration and
 // grid. On error the engine must be discarded.
-func (se *ShardedEngine) RestoreCheckpoint(data []byte) error {
-	d, err := ckpt.NewDecoder(data)
-	if err != nil {
-		return err
-	}
-	if err := se.decodeState(d); err != nil {
-		return err
-	}
-	return d.Close()
-}
+func (se *ShardedEngine) RestoreCheckpoint(data []byte) error { return restore(se, data) }
 
 // encodeState implements the Machine checkpoint surface.
 func (se *ShardedEngine) encodeState(enc *ckpt.Encoder) error {
@@ -473,14 +442,7 @@ func (se *ShardedEngine) encodeState(enc *ckpt.Encoder) error {
 	// Chip-level observer state (the shard "observer" sections above are
 	// the Recorders, which are always empty at batch boundaries and
 	// carry no state).
-	enc.Begin("chipobserver")
-	if osv, ok := se.observer.(ckptSaver); ok {
-		enc.Bool(true)
-		osv.SaveState(enc)
-	} else {
-		enc.Bool(false)
-	}
-	enc.End()
+	writeSection(enc, "chipobserver", observerState{se.observer})
 	return nil
 }
 
@@ -527,17 +489,5 @@ func (se *ShardedEngine) decodeState(d *ckpt.Decoder) error {
 	if shardWrites != se.writes {
 		return fmt.Errorf("sim: checkpoint shard writes sum to %d, chip cursor is %d", shardWrites, se.writes)
 	}
-	if err := d.Section("chipobserver"); err != nil {
-		return err
-	}
-	if d.Bool() {
-		if ol, ok := se.observer.(ckptLoader); ok {
-			if err := ol.LoadState(d); err != nil {
-				return err
-			}
-		} else {
-			d.SkipRest()
-		}
-	}
-	return d.Err()
+	return readSection(d, "chipobserver", observerState{se.observer})
 }
